@@ -6,6 +6,16 @@ forecast from its own interior: an RLS one-step predictor is trained over
 the segment, its terminal weights frozen, and the forecast fed back on
 itself.  The past side reuses the same machinery on the time-reversed
 segment.
+
+The terminal weights are computed in closed form.  RLS started from zero
+weights with P(0) = I / delta and forgetting lambda ends, after k updates,
+exactly at the minimiser of
+
+    sum_i lambda^(k-i) e_i^2 + delta lambda^k ||w||^2
+
+(Haykin, *Adaptive Filter Theory*, RLS chapter), so one regularised,
+exponentially weighted least-squares solve replaces the k rank-one updates.
+``rls_run`` keeps the recursion as the reference.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +56,11 @@ class RlsConfig:
             raise ValueError("init_reg must be positive")
 
 
+def _check_signal(x: np.ndarray, taps: int) -> None:
+    if x.ndim != 1 or x.size < taps + 1:
+        raise ValueError(f"need a 1-d signal longer than {taps} samples")
+
+
 def rls_run(signal, cfg: RlsConfig = RlsConfig()) -> tuple[np.ndarray, np.ndarray]:
     """Adapt a one-step-ahead RLS predictor over a signal.
 
@@ -58,8 +74,7 @@ def rls_run(signal, cfg: RlsConfig = RlsConfig()) -> tuple[np.ndarray, np.ndarra
     """
     x = np.asarray(signal, dtype=np.float64)
     taps = cfg.order + 1
-    if x.ndim != 1 or x.size < taps + 1:
-        raise ValueError(f"need a 1-d signal longer than {taps} samples")
+    _check_signal(x, taps)
     lam = cfg.forgetting
     P = np.eye(taps) / cfg.init_reg
     w = np.zeros(taps)
@@ -80,25 +95,47 @@ def rls_run(signal, cfg: RlsConfig = RlsConfig()) -> tuple[np.ndarray, np.ndarra
 class ExtendedSegment:
     """A segment flanked by ``length`` forecast samples on each side.
 
-    ``samples[core_start : core_start + original length]`` is the original
-    segment, bit for bit.
+    ``samples[length : len(samples) - length]`` is the original segment,
+    bit for bit.
     """
 
     samples: np.ndarray
-    core_start: int
     length: int
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        if self.core_start != self.length:
-            raise ValueError("core must start right after the past-side extension")
+        if self.length < 0 or 2 * self.length > samples.size:
+            raise ValueError("samples must hold both length-sample flanks")
+
+
+def _terminal_weights(x: np.ndarray, cfg: RlsConfig) -> np.ndarray:
+    """The weights ``rls_run(x, cfg)`` ends at, from one least-squares solve.
+
+    Row j of the Hankel system is the regressor of RLS update j + 1, scaled
+    by sqrt(lambda)^(k-1-j) so that the squared errors carry the forgetting
+    weights; delta lambda^k on the diagonal is what is left of P(0)^-1.
+    The normal equations square the condition number of the system, so one
+    step of iterative refinement on the weighted residual follows the solve;
+    without it the weights can miss the minimum by 1e-10 of the objective.
+    """
+    taps = cfg.order + 1
+    _check_signal(x, taps)
+    k = x.size - taps
+    scale = np.sqrt(cfg.forgetting) ** np.arange(k - 1, -1, -1)
+    a = sliding_window_view(x, taps)[:k, ::-1] * scale[:, None]
+    b = x[taps:] * scale
+    reg = cfg.init_reg * cfg.forgetting**k
+    r = a.T @ a
+    r[np.diag_indices(taps)] += reg
+    w = np.linalg.solve(r, a.T @ b)
+    return w + np.linalg.solve(r, a.T @ (b - a @ w) - reg * w)
 
 
 def _forecast(x: np.ndarray, length: int, cfg: RlsConfig) -> np.ndarray:
     """Freeze terminal RLS weights on x, then roll the predictor forward."""
-    w, _ = rls_run(x, cfg)
+    w = _terminal_weights(x, cfg)
     taps = cfg.order + 1
     work = np.empty(taps + length)
     work[:taps] = x[-taps:]
@@ -126,7 +163,7 @@ def extend_segment(segment, length: int, cfg: RlsConfig = RlsConfig()) -> Extend
         raise ValueError("length must be non-negative")
     x = np.asarray(segment, dtype=np.float64)
     if length == 0:
-        return ExtendedSegment(x.copy(), 0, 0)
+        return ExtendedSegment(x.copy(), 0)
     future = _forecast(x, length, cfg)
     past = _forecast(x[::-1], length, cfg)[::-1]
-    return ExtendedSegment(np.concatenate([past, x, future]), length, length)
+    return ExtendedSegment(np.concatenate([past, x, future]), length)

@@ -1,7 +1,22 @@
+import logging
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
-from audiojigsaw.estimator import ExtendedSegment, RlsConfig, extend_segment, rls_run
+from audiojigsaw.audio_io import synthesize_speechlike
+from audiojigsaw.estimator import (
+    ExtendedSegment,
+    RlsConfig,
+    _terminal_weights,
+    extend_segment,
+    rls_run,
+)
+from audiojigsaw.pipeline import AttackConfig, attack
+from audiojigsaw.scrambler import ScramblerConfig
 
 
 def test_rls_config_validation():
@@ -54,14 +69,14 @@ def test_extend_preserves_core_bit_exactly():
     segment = rng.standard_normal(320)
     ext = extend_segment(segment, 59)
     assert len(ext.samples) == 320 + 2 * 59
-    assert ext.core_start == 59 and ext.length == 59
+    assert ext.length == 59
     np.testing.assert_array_equal(ext.samples[59 : 59 + 320], segment)
 
 
 def test_extend_zero_length_is_identity():
     segment = np.arange(100, dtype=np.float64)
     ext = extend_segment(segment, 0)
-    assert ext.core_start == 0 and ext.length == 0
+    assert ext.length == 0
     np.testing.assert_array_equal(ext.samples, segment)
 
 
@@ -98,4 +113,131 @@ def test_extend_validation():
     with pytest.raises(ValueError):
         extend_segment(np.zeros(320), -1)
     with pytest.raises(ValueError):
-        ExtendedSegment(np.zeros(10), core_start=2, length=3)
+        ExtendedSegment(np.zeros(10), length=6)
+    with pytest.raises(ValueError):
+        ExtendedSegment(np.zeros(10), length=-1)
+
+
+def test_extend_rejects_segment_no_longer_than_taps():
+    cfg = RlsConfig(order=8)
+    with pytest.raises(ValueError, match="need a 1-d signal longer than 9 samples"):
+        extend_segment(np.ones(9), 5, cfg)
+    assert extend_segment(np.ones(10), 5, cfg).samples.size == 20
+
+
+def test_attack_names_the_frame_whose_segments_are_too_short():
+    # 5 ms segments at 8 kHz hold 40 samples, fewer than the 53 default taps
+    geom = ScramblerConfig(frame_size=4, segment_ms=5.0)
+    cipher = synthesize_speechlike(geom.frame_samples / 8000.0, seed=5)
+    with pytest.raises(ValueError, match=r"^frame 0: need a 1-d signal longer than 53 samples"):
+        attack(cipher, AttackConfig(scrambler=geom))
+
+
+# --- closed-form terminal weights against the RLS recursion -------------------
+
+
+def _reference_forecast(x, length, cfg):
+    """The extension loop as it ran on rls_run's weights: (forecast, clamp count)."""
+    w, _ = rls_run(x, cfg)
+    taps = cfg.order + 1
+    work = np.empty(taps + length)
+    work[:taps] = x[-taps:]
+    clamped = 0
+    for i in range(length):
+        pred = w @ work[i : i + taps][::-1]
+        if abs(pred) > 4.0:
+            pred = 4.0 if pred > 0 else -4.0
+            clamped += 1
+        work[taps + i] = pred
+    return work[taps:], clamped
+
+
+def _objective(x, w, cfg):
+    """sum_i lambda^(k-i) e_i^2 + delta lambda^k ||w||^2, the cost RLS minimises."""
+    taps = cfg.order + 1
+    k = x.size - taps
+    errors = np.array([x[n] - w @ x[n - taps : n][::-1] for n in range(taps, x.size)])
+    weights = cfg.forgetting ** np.arange(k - 1, -1, -1)
+    return float(weights @ errors**2 + cfg.init_reg * cfg.forgetting**k * (w @ w))
+
+
+def _speech_segments(n, sample_rate, seed, count):
+    x = synthesize_speechlike(count * n / sample_rate, seed=seed, sample_rate=sample_rate).samples
+    return [x[i * n : (i + 1) * n] for i in range(count)]
+
+
+def _clamp_counts(records):
+    counts = []
+    for rec in records:
+        hit = re.match(r"clamped (\d+) of \d+ forecast samples", rec.getMessage())
+        if hit:
+            counts.append(int(hit.group(1)))
+    return counts
+
+
+def test_terminal_weights_match_rls_run_on_speech():
+    cfg = RlsConfig()
+    for seg in _speech_segments(320, 8000, 13, 24):
+        for x in (seg, seg[::-1]):
+            ref, _ = rls_run(x, cfg)
+            got = _terminal_weights(np.ascontiguousarray(x), cfg)
+            assert np.linalg.norm(got - ref) <= 1e-7 * np.linalg.norm(ref)
+
+
+# One segment of each kind the extension meets: speech whose future-side
+# forecast clamps 4 samples, a digitally silent segment, a pure tone, a hard step.
+_CLAMPING_SPEECH = synthesize_speechlike(1.0, seed=7).samples[7680:8000]
+_EXTENSION_CASES = {
+    "clamping speech": _CLAMPING_SPEECH,
+    "silence": np.zeros(320),
+    "tone": 0.7 * np.sin(2.0 * np.pi * 0.05 * np.arange(320)),
+    "step": np.concatenate([np.zeros(200), np.full(120, 0.9)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTENSION_CASES))
+def test_extend_matches_recursive_reference(name, caplog):
+    cfg = RlsConfig()
+    segment = _EXTENSION_CASES[name]
+    future, clamped_future = _reference_forecast(segment, 59, cfg)
+    past, clamped_past = _reference_forecast(segment[::-1], 59, cfg)
+    with caplog.at_level(logging.WARNING, logger="audiojigsaw.estimator"):
+        ext = extend_segment(segment, 59, cfg)
+    np.testing.assert_allclose(ext.samples[-59:], future, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(ext.samples[:59], past[::-1], rtol=0, atol=1e-6)
+    assert _clamp_counts(caplog.records) == [c for c in (clamped_future, clamped_past) if c]
+
+
+def test_reference_cases_cover_clamping_and_silence():
+    assert _reference_forecast(_CLAMPING_SPEECH, 59, RlsConfig())[1] > 0
+    assert np.all(_terminal_weights(np.zeros(320), RlsConfig()) == 0.0)
+
+
+@pytest.mark.parametrize("n", [640, 960])
+def test_terminal_weights_minimise_the_rls_objective_on_long_segments(n):
+    # over 587+ updates lambda^k is tiny and the recursion itself drifts by
+    # up to ~1e-4 from the closed form, so compare costs, not weights
+    cfg = RlsConfig()
+    for seg in _speech_segments(n, 16000, 11, 6):
+        for x in (seg, seg[::-1]):
+            ref, _ = rls_run(x, cfg)
+            got = _terminal_weights(np.ascontiguousarray(x), cfg)
+            assert _objective(x, got, cfg) <= _objective(x, ref, cfg) * (1.0 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.integers(1, 8),
+    forgetting=st.floats(0.9, 1.0),
+    extra=st.integers(1, 400),
+    pole=st.floats(-0.99, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_terminal_weights_agree_with_rls_run(order, forgetting, extra, pole, seed):
+    cfg = RlsConfig(order=order, forgetting=forgetting)
+    n = min(order + 1 + extra, 400)
+    noise = np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
+    x = lfilter([1.0], [1.0, -pole], noise)
+    ref, _ = rls_run(x, cfg)
+    got = _terminal_weights(x, cfg)
+    assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
