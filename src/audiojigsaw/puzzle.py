@@ -66,15 +66,42 @@ def piece_distance(left: PieceImage, right: PieceImage, cfg: DistanceConfig = Di
 
 
 def build_distance_matrix(pieces: Sequence[PieceImage], cfg: DistanceConfig = DistanceConfig()) -> np.ndarray:
-    """All ordered pair distances; unusable self-transitions are +inf."""
+    """All ordered pair distances; unusable self-transitions are +inf.
+
+    Computes :func:`piece_distance` for every pair at once: per vertical
+    slide, one broadcast over (left piece, right piece, row, offset).  The
+    result is bit-identical to calling :func:`piece_distance` pair by pair.
+    Each sum of squares adds squared differences of 8-bit pixels, so it is
+    an integer far below 2**53 and exact in any summation order; division
+    and square root are correctly rounded and monotone, so taking the
+    minimum before or after them picks the same value.
+    """
     n = len(pieces)
     if n < 2:
         raise ValueError("need at least 2 pieces")
+    shape = pieces[0].pixels.shape
+    if any(p.pixels.shape != shape for p in pieces):
+        raise ValueError("pieces must share their matrix shape")
+    n_rows, n_cols = shape
+    if n_cols <= cfg.max_penetration:
+        raise ValueError(
+            f"pieces have {n_cols} columns, need more than max_penetration={cfg.max_penetration}"
+        )
+    stack = np.stack([p.pixels for p in pieces]).astype(np.float64)
+    offsets = np.arange(cfg.max_penetration + 1)
+    lefts = stack[:, :, n_cols - 1 - offsets][:, None]  # (n, 1, rows, offsets)
+    rights = stack[:, :, offsets][None]  # (1, n, rows, offsets)
     d = np.full((n, n), np.inf)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                d[i, j] = piece_distance(pieces[i], pieces[j], cfg)
+    for b in range(min(cfg.max_slide, n_rows - 1) + 1):
+        span = n_rows - b
+        shifts = [(lefts[:, :, b:], rights[:, :, :span])]
+        if b:
+            shifts.append((lefts[:, :, :span], rights[:, :, b:]))
+        for left, right in shifts:
+            diff = left - right
+            sums = np.einsum("ijra,ijra->ija", diff, diff).min(axis=2)
+            np.minimum(d, np.sqrt(sums / span), out=d)
+    np.fill_diagonal(d, np.inf)
     return d
 
 

@@ -10,7 +10,12 @@ into any spanning out-tree and can therefore never overshoot.
 
 Cost ties between arrangements are broken toward the lexicographically
 smallest order, in both the exhaustive oracle and the search, so their
-results are directly comparable.
+results are directly comparable.  The search also uses that tie-break to
+prune: a partial order whose bound equals the incumbent's cost, and whose
+prefix sorts after the incumbent's prefix of the same length, can only
+complete into arrangements that cost at least as much and sort later, so
+none of them can win.  Silent frames, whose matrices are all ties, then
+take one branch instead of every one.
 """
 
 from __future__ import annotations
@@ -169,6 +174,14 @@ def solve_bnb(
     first (ties: deeper node, then lexicographically smaller prefix).  The
     root branches over every possible starting piece.
 
+    A node is pruned when its bound exceeds the incumbent's cost, or
+    equals it while its prefix sorts after the incumbent's prefix of the
+    same length.  The bound never overshoots, so every completion of such
+    a node costs at least the incumbent and is lexicographically larger:
+    it can neither beat the incumbent nor win the tie-break against it.
+    The incumbent only ever improves, so a node pruned against an earlier
+    incumbent stays pruned against the final one.
+
     If the frontier outgrows ``frontier_cap`` entries the search degrades
     to depth-first under the same bound, which trades order of exploration
     for memory and cannot affect the returned optimum.
@@ -194,13 +207,16 @@ def solve_bnb(
             bound_cache[key] = cached
         return cached
 
+    def dominated(bound: float, prefix: tuple[int, ...]) -> bool:
+        return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
+
     # Heap entries: (bound, -depth, prefix, cost_so_far, unplaced_mask).
     frontier: list[tuple[float, int, tuple[int, ...], float, int]] = []
     expanded = 1  # the virtual root
     for start in range(n):
         mask = all_mask & ~(1 << start)
         bound = lower_bound(start, mask)
-        if bound <= inc_cost:
+        if not dominated(bound, (start,)):
             heapq.heappush(frontier, (bound, -1, (start,), 0.0, mask))
 
     best_first = True
@@ -213,9 +229,11 @@ def solve_bnb(
             bound, neg_depth, prefix, cost, mask = heapq.heappop(frontier)
             if bound > inc_cost:
                 break  # heap order: nothing better remains
+            if dominated(bound, prefix):
+                continue  # a tie that sorts late; later entries may still win
         else:
             bound, neg_depth, prefix, cost, mask = frontier.pop()
-            if bound > inc_cost:
+            if dominated(bound, prefix):
                 continue
         expanded += 1
         if on_expand is not None:
@@ -234,7 +252,7 @@ def solve_bnb(
                 continue
             child_mask = mask & ~(1 << j)
             child_bound = child_cost + lower_bound(j, child_mask)
-            if child_bound > inc_cost:
+            if dominated(child_bound, child_prefix):
                 continue
             entry = (child_bound, -(depth + 1), child_prefix, child_cost, child_mask)
             if best_first:

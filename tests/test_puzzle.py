@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from audiojigsaw.audio_io import synthesize_speechlike
+from audiojigsaw.estimator import extend_segment
 from audiojigsaw.puzzle import (
     DistanceConfig,
     arrangement_cost,
@@ -8,11 +10,22 @@ from audiojigsaw.puzzle import (
     piece_distance,
     write_distance_csv,
 )
-from audiojigsaw.spectrogram import PieceImage
+from audiojigsaw.spectrogram import PieceImage, quantize_frame, segmented_spectrogram
 
 
 def _piece(rows, index=0):
     return PieceImage(np.asarray(rows, dtype=np.uint8), index)
+
+
+def _pairwise_matrix(pieces, cfg=DistanceConfig()):
+    """The scalar reference: one piece_distance call per ordered pair."""
+    n = len(pieces)
+    d = np.full((n, n), np.inf)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                d[i, j] = piece_distance(pieces[i], pieces[j], cfg)
+    return d
 
 
 def test_distance_config_validation():
@@ -105,6 +118,45 @@ def test_build_matrix_shape_and_diagonal():
     assert d[1, 3] == piece_distance(pieces[1], pieces[3])
     with pytest.raises(ValueError):
         build_distance_matrix(pieces[:1])
+
+
+@pytest.mark.parametrize(
+    "n, rows, cols, cfg",
+    [
+        (8, 128, 29, DistanceConfig()),
+        (2, 1, 1, DistanceConfig(0, 0)),
+        (5, 1, 6, DistanceConfig(3, 7)),  # one-row pieces
+        (6, 10, 4, DistanceConfig(3, 12)),  # max_slide >= rows
+        (7, 16, 5, DistanceConfig(0, 3)),  # no penetration
+        (4, 9, 9, DistanceConfig(8, 9)),
+        (16, 32, 10, DistanceConfig(2, 31)),
+    ],
+)
+def test_matrix_matches_pairwise_reference_on_random_pieces(n, rows, cols, cfg):
+    rng = np.random.Generator(np.random.PCG64(1000 * n + 10 * rows + cols))
+    pieces = [_piece(rng.integers(0, 256, size=(rows, cols), dtype=np.uint8), i) for i in range(n)]
+    assert np.array_equal(build_distance_matrix(pieces, cfg), _pairwise_matrix(pieces, cfg))
+
+
+@pytest.mark.parametrize("extend", [False, True])
+def test_matrix_matches_pairwise_reference_on_speech(extend):
+    x = synthesize_speechlike(1.0, seed=6).samples
+    for frame in x[: 3 * 8 * 320].reshape(3, 8, 320):
+        segments = [extend_segment(seg, 59).samples for seg in frame] if extend else list(frame)
+        pieces = quantize_frame(segmented_spectrogram(segments))
+        assert np.array_equal(build_distance_matrix(pieces), _pairwise_matrix(pieces))
+
+
+def test_build_matrix_validation():
+    square = [_piece(np.zeros((4, 4)), i) for i in range(3)]
+    with pytest.raises(ValueError, match="^pieces must share their matrix shape$"):
+        build_distance_matrix(square + [_piece(np.zeros((4, 5)), 3)])
+    with pytest.raises(ValueError, match="^pieces must share their matrix shape$"):
+        build_distance_matrix(square + [_piece(np.zeros((5, 4)), 3)])
+    with pytest.raises(ValueError, match="^pieces have 4 columns, need more than max_penetration=4$"):
+        build_distance_matrix(square, DistanceConfig(max_penetration=4))
+    with pytest.raises(ValueError, match="^need at least 2 pieces$"):
+        build_distance_matrix(square[:1])
 
 
 def test_arrangement_cost_hand_value():
