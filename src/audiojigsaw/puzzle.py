@@ -68,13 +68,19 @@ def piece_distance(left: PieceImage, right: PieceImage, cfg: DistanceConfig = Di
 def build_distance_matrix(pieces: Sequence[PieceImage], cfg: DistanceConfig = DistanceConfig()) -> np.ndarray:
     """All ordered pair distances; unusable self-transitions are +inf.
 
-    Computes :func:`piece_distance` for every pair at once: per vertical
-    slide, one broadcast over (left piece, right piece, row, offset).  The
-    result is bit-identical to calling :func:`piece_distance` pair by pair.
-    Each sum of squares adds squared differences of 8-bit pixels, so it is
-    an integer far below 2**53 and exact in any summation order; division
-    and square root are correctly rounded and monotone, so taking the
-    minimum before or after them picks the same value.
+    Computes :func:`piece_distance` for every pair at once.  For each
+    vertical slide and direction, the sum of squared gaps between left
+    column l and right column r over the overlapping rows is expanded as
+    S = sum(l**2) + sum(r**2) - 2 l.r: the squares come from prefix sums of
+    the squared border columns, and l.r for all pairs and inward offsets
+    from one batched matrix product.
+
+    The result is bit-identical to calling :func:`piece_distance` pair by
+    pair.  Pixels are 8-bit, so every product, partial sum and S itself is
+    an integer of at most 255**2 * rows, far below 2**53: float64 holds all
+    of them exactly, in any summation order.  Division and square root are
+    correctly rounded and monotone, so taking the minimum before or after
+    them picks the same value.
     """
     n = len(pieces)
     if n < 2:
@@ -89,18 +95,24 @@ def build_distance_matrix(pieces: Sequence[PieceImage], cfg: DistanceConfig = Di
         )
     stack = np.stack([p.pixels for p in pieces]).astype(np.float64)
     offsets = np.arange(cfg.max_penetration + 1)
-    lefts = stack[:, :, n_cols - 1 - offsets][:, None]  # (n, 1, rows, offsets)
-    rights = stack[:, :, offsets][None]  # (1, n, rows, offsets)
+    # (offset, piece, row): column last - a of each left piece, column a of each right piece.
+    lefts = stack[:, :, n_cols - 1 - offsets].transpose(2, 0, 1)
+    rights = stack[:, :, offsets].transpose(2, 0, 1)
+    # Prefix sums of squares: entry k sums rows 0..k-1.
+    start = np.zeros((offsets.size, n, 1))
+    left_sq = np.concatenate([start, np.cumsum(lefts * lefts, axis=2)], axis=2)
+    right_sq = np.concatenate([start, np.cumsum(rights * rights, axis=2)], axis=2)
     d = np.full((n, n), np.inf)
     for b in range(min(cfg.max_slide, n_rows - 1) + 1):
         span = n_rows - b
-        shifts = [(lefts[:, :, b:], rights[:, :, :span])]
-        if b:
-            shifts.append((lefts[:, :, :span], rights[:, :, b:]))
-        for left, right in shifts:
-            diff = left - right
-            sums = np.einsum("ijra,ijra->ija", diff, diff).min(axis=2)
-            np.minimum(d, np.sqrt(sums / span), out=d)
+        # (left first row, right first row): shift the left piece up, then the right one.
+        shifts = [(b, 0), (0, b)] if b else [(0, 0)]
+        for lo, ro in shifts:
+            cross = lefts[:, :, lo : lo + span] @ rights[:, :, ro : ro + span].transpose(0, 2, 1)
+            left_ss = left_sq[:, :, lo + span] - left_sq[:, :, lo]
+            right_ss = right_sq[:, :, ro + span] - right_sq[:, :, ro]
+            sums = left_ss[:, :, None] + right_ss[:, None, :] - 2.0 * cross
+            np.minimum(d, np.sqrt(sums.min(axis=0) / span), out=d)
     np.fill_diagonal(d, np.inf)
     return d
 

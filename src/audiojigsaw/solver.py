@@ -16,12 +16,21 @@ prefix sorts after the incumbent's prefix of the same length, can only
 complete into arrangements that cost at least as much and sort later, so
 none of them can win.  Silent frames, whose matrices are all ties, then
 take one branch instead of every one.
+
+The search and its bound run on plain Python floats: the matrix is
+converted once per solve with ``tolist()``.  At 16 pieces or fewer every
+step touches a handful of numbers, so numpy's per-call overhead would cost
+more than the arithmetic.  The conversion is exact, and the bound keeps the
+tie rules and operand order of a numpy contraction (the reference in the
+tests), so orders, costs, node counts and bound values are bit-identical
+to a search that runs on numpy.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -47,6 +56,8 @@ def _validated(d) -> np.ndarray:
         raise ValueError("distance matrix must be square")
     if d.shape[0] < 2:
         raise ValueError("need at least 2 pieces")
+    if np.isnan(d).any():
+        raise ValueError("distance matrix must not contain NaN")
     return d
 
 _ORACLE_CHUNK = 40320
@@ -88,6 +99,7 @@ def greedy_upper_bound(d) -> SolveReport:
     """
     d = _validated(d)
     n = d.shape[0]
+    rows = d.tolist()
     best_order = None
     best_cost = np.inf
     for start in range(n):
@@ -95,9 +107,9 @@ def greedy_upper_bound(d) -> SolveReport:
         cost = 0.0
         remaining = set(range(n)) - {start}
         while remaining:
-            here = order[-1]
-            nxt = min(remaining, key=lambda j: (d[here, j], j))
-            cost += float(d[here, nxt])
+            here = rows[order[-1]]
+            nxt = min(remaining, key=lambda j: (here[j], j))
+            cost += here[nxt]
             order.append(nxt)
             remaining.remove(nxt)
         order = tuple(order)
@@ -114,50 +126,80 @@ def min_arborescence_weight(d, nodes: Iterable[int], root: int) -> float:
     itself is never needed).  Any path from the root visiting every node is
     itself a spanning out-tree, so this weight is an admissible bound for
     open-path completion costs.
+
+    ``d`` is anything indexable as ``d[u][v]``: an array or nested lists of
+    floats that are finite or +inf.  The contraction runs on plain Python
+    lists, because at 16 nodes or fewer numpy's per-call overhead costs more
+    than the arithmetic.  It is bit-identical to the numpy contraction in
+    the tests: each parent is the first minimum of its column (the tie
+    rule of ``np.argmin``), the cycle found is the first one in node order,
+    in the same rotation, and every sum and minimum takes its operands in
+    the same order.
     """
-    d = np.asarray(d, dtype=np.float64)
     nodes = list(nodes)
     if root not in nodes:
         raise ValueError("root must be among the nodes")
     if len(nodes) == 1:
         return 0.0
-    sub = d[np.ix_(nodes, nodes)].copy()
-    np.fill_diagonal(sub, np.inf)
-    return _contract_weight(sub, nodes.index(root))
+    rows = [d[u] for u in nodes]
+    # cols[v][u] is the weight of arc u -> v; no node may be its own parent.
+    cols = [[row[v] for row in rows] for v in nodes]
+    for i, col in enumerate(cols):
+        col[i] = math.inf
+    return float(_contract_weight(cols, nodes.index(root)))
 
 
-def _contract_weight(w: np.ndarray, root: int) -> float:
-    n = w.shape[0]
-    if n == 1:
-        return 0.0
-    parent = np.argmin(w, axis=0)
-    # Locate a cycle in the parent pointers, ignoring the root.
-    cycle = None
-    seen_global = {root}
-    for v in range(n):
-        trail = []
-        node = v
-        while node not in seen_global and node not in trail:
-            trail.append(node)
-            node = int(parent[node])
-        if node in trail:
-            cycle = trail[trail.index(node):]
+def _contract_weight(cols: list[list[float]], root: int) -> float:
+    """Chu-Liu/Edmonds on column lists, contracting one cycle per level.
+
+    Level k pays the cost of its cycle c_k; the total is summed
+    innermost-first, c_0 + (c_1 + (... + tree)), the order of the recursive
+    numpy reference.  Sums are explicit left-to-right loops, because
+    ``sum`` over floats compensates its rounding from Python 3.12 on.
+    """
+    cycle_costs = []
+    while True:
+        n = len(cols)
+        in_weight = [min(col) for col in cols]
+        parent = [col.index(w) for col, w in zip(cols, in_weight)]
+        # Walk parent pointers from each node in turn; state 1 marks the
+        # current trail, 2 nodes already known to lead to the root.
+        state = [0] * n
+        state[root] = 2
+        cycle = None
+        for v in range(n):
+            trail = []
+            node = v
+            while not state[node]:
+                state[node] = 1
+                trail.append(node)
+                node = parent[node]
+            if state[node] == 1:
+                cycle = trail[trail.index(node):]
+                break
+            for t in trail:
+                state[t] = 2
+        if cycle is None:
             break
-        seen_global.update(trail)
-    if cycle is None:
-        return float(sum(w[int(parent[v]), v] for v in range(n) if v != root))
-
-    cycle_set = set(cycle)
-    cycle_cost = float(sum(w[int(parent[v]), v] for v in cycle))
-    rest = [v for v in range(n) if v not in cycle_set]
-    m = len(rest) + 1  # contracted node goes last
-    w2 = np.full((m, m), np.inf)
-    w2[: m - 1, : m - 1] = w[np.ix_(rest, rest)]
-    for xi, x in enumerate(rest):
-        # Entering the cycle at v displaces the cycle's own arc into v.
-        w2[xi, m - 1] = min(w[x, v] - w[int(parent[v]), v] for v in cycle)
-        w2[m - 1, xi] = min(w[v, x] for v in cycle)
-    return cycle_cost + _contract_weight(w2, rest.index(root))
+        cycle_cost = 0.0
+        for v in cycle:
+            cycle_cost += in_weight[v]
+        cycle_costs.append(cycle_cost)
+        in_cycle = set(cycle)
+        rest = [v for v in range(n) if v not in in_cycle]
+        # The contracted cycle becomes the last node.  Entering it at v
+        # displaces the cycle's own arc into v.
+        entering = [min(cols[v][x] - in_weight[v] for v in cycle) for x in rest] + [math.inf]
+        cols = [[cols[x][u] for u in rest] + [min(cols[x][v] for v in cycle)] for x in rest]
+        cols.append(entering)
+        root = rest.index(root)
+    total = 0.0
+    for v in range(n):
+        if v != root:
+            total += in_weight[v]
+    for cost in reversed(cycle_costs):
+        total = cost + total
+    return total
 
 
 def solve_bnb(
@@ -191,6 +233,7 @@ def solve_bnb(
     """
     d = _validated(d)
     n = d.shape[0]
+    rows = d.tolist()
     incumbent = initial if initial is not None else greedy_upper_bound(d)
     inc_order = tuple(incumbent.order)
     inc_cost = float(incumbent.cost)
@@ -203,7 +246,7 @@ def solve_bnb(
         cached = bound_cache.get(key)
         if cached is None:
             nodes = [endpoint] + [j for j in range(n) if unplaced_mask >> j & 1]
-            cached = min_arborescence_weight(d, nodes, endpoint)
+            cached = min_arborescence_weight(rows, nodes, endpoint)
             bound_cache[key] = cached
         return cached
 
@@ -238,12 +281,12 @@ def solve_bnb(
         expanded += 1
         if on_expand is not None:
             on_expand(prefix, cost, bound)
-        here = prefix[-1]
+        here = rows[prefix[-1]]
         depth = -neg_depth
         for j in range(n):
             if not mask >> j & 1:
                 continue
-            child_cost = cost + float(d[here, j])
+            child_cost = cost + here[j]
             child_prefix = prefix + (j,)
             if depth + 1 == n:
                 if child_cost < inc_cost or (child_cost == inc_cost and child_prefix < inc_order):

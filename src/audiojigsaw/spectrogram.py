@@ -89,10 +89,29 @@ def window_coverage(sample_pos: int, segment_len: int, window_size: int) -> int:
 
 
 def segmented_spectrogram(segments: Sequence, cfg: StftConfig = StftConfig()) -> list[np.ndarray]:
-    """One magnitude matrix per segment, each windowed strictly inside it."""
+    """One magnitude matrix per segment, each windowed strictly inside it.
+
+    A frame's segments share their length, so the whole frame goes through
+    one windowing and one FFT call; each matrix is bit-identical to
+    :func:`stft_magnitude` of its segment.
+    """
     if not len(segments):
         raise ValueError("no segments given")
-    return [stft_magnitude(seg, cfg) for seg in segments]
+    lengths = sorted({np.size(seg) for seg in segments})
+    if len(lengths) > 1:
+        raise ValueError(f"segments of one frame must share their length, got lengths {lengths}")
+    x = np.asarray(segments, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("samples must be one-dimensional")
+    if x.shape[1] < cfg.window_size:
+        raise ValueError(
+            f"sequence of {x.shape[1]} samples is shorter than one {cfg.window_size}-sample window"
+        )
+    n_cols = (x.shape[1] - cfg.overlap) // cfg.hop
+    windows = np.lib.stride_tricks.sliding_window_view(x, cfg.window_size, axis=1)
+    slices = windows[:, :: cfg.hop][:, :n_cols]
+    spectra = np.fft.rfft(slices * hamming_window(cfg.window_size), n=cfg.fft_size, axis=2)
+    return list(np.abs(spectra[:, :, 1 : cfg.fft_size // 2 + 1]).transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,36 @@ def test_matrix_matches_pairwise_reference_on_speech(extend):
         assert np.array_equal(build_distance_matrix(pieces), _pairwise_matrix(pieces))
 
 
+def _extreme_pieces():
+    """Pieces that push the Gram expansion to its largest terms."""
+    black = np.zeros((128, 29))
+    white = np.full((128, 29), 255)
+    stripes = np.zeros((128, 29))
+    stripes[:, ::2] = 255
+    rows = np.zeros((128, 29))
+    rows[::2] = 255
+    return [black, white, stripes, 255 - stripes, rows, 255 - rows]
+
+
+@pytest.mark.parametrize(
+    "name, pixels",
+    [
+        ("black against white", [np.zeros((128, 29)), np.full((128, 29), 255)] * 2),
+        ("alternating 0/255 columns and rows", _extreme_pieces()),
+        (
+            "tall pieces",
+            list(np.random.Generator(np.random.PCG64(21)).integers(0, 256, size=(5, 1024, 6))),
+        ),
+        ("tall extremes", [np.zeros((1024, 6)), np.full((1024, 6), 255), np.zeros((1024, 6))]),
+    ],
+)
+def test_matrix_is_exact_on_extreme_pieces(name, pixels):
+    """Every term of sum(l**2) + sum(r**2) - 2 l.r is an integer below
+    2**53, so even full-scale gaps over 1,024 rows come out exact."""
+    pieces = [_piece(p, i) for i, p in enumerate(pixels)]
+    assert np.array_equal(build_distance_matrix(pieces), _pairwise_matrix(pieces))
+
+
 def test_build_matrix_validation():
     square = [_piece(np.zeros((4, 4)), i) for i in range(3)]
     with pytest.raises(ValueError, match="^pieces must share their matrix shape$"):

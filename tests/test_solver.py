@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from audiojigsaw.audio_io import AudioBuffer
+from audiojigsaw import solver
+from audiojigsaw.audio_io import AudioBuffer, synthesize_speechlike
+from audiojigsaw.estimator import extend_segment
 from audiojigsaw.pipeline import AttackConfig, attack
+from audiojigsaw.puzzle import build_distance_matrix
 from audiojigsaw.scrambler import ScramblerConfig
 from audiojigsaw.solver import (
     SolveReport,
@@ -14,6 +19,7 @@ from audiojigsaw.solver import (
     solve_bnb,
     solve_bruteforce,
 )
+from audiojigsaw.spectrogram import quantize_frame, segmented_spectrogram
 
 D3 = np.array(
     [
@@ -91,6 +97,144 @@ def test_arborescence_lower_bounds_every_path():
                 if p[0] == root
             )
             assert w <= best_path + 1e-9
+
+
+def _reference_min_arborescence_weight(d, nodes, root):
+    """The numpy contraction the list version replaced, kept as its reference."""
+    d = np.asarray(d, dtype=np.float64)
+    nodes = list(nodes)
+    if root not in nodes:
+        raise ValueError("root must be among the nodes")
+    if len(nodes) == 1:
+        return 0.0
+    sub = d[np.ix_(nodes, nodes)].copy()
+    np.fill_diagonal(sub, np.inf)
+    return _reference_contract_weight(sub, nodes.index(root))
+
+
+def _reference_contract_weight(w, root):
+    n = w.shape[0]
+    if n == 1:
+        return 0.0
+    parent = np.argmin(w, axis=0)
+    # Locate a cycle in the parent pointers, ignoring the root.
+    cycle = None
+    seen_global = {root}
+    for v in range(n):
+        trail = []
+        node = v
+        while node not in seen_global and node not in trail:
+            trail.append(node)
+            node = int(parent[node])
+        if node in trail:
+            cycle = trail[trail.index(node) :]
+            break
+        seen_global.update(trail)
+    if cycle is None:
+        return float(sum(w[int(parent[v]), v] for v in range(n) if v != root))
+
+    cycle_set = set(cycle)
+    cycle_cost = float(sum(w[int(parent[v]), v] for v in cycle))
+    rest = [v for v in range(n) if v not in cycle_set]
+    m = len(rest) + 1  # contracted node goes last
+    w2 = np.full((m, m), np.inf)
+    w2[: m - 1, : m - 1] = w[np.ix_(rest, rest)]
+    for xi, x in enumerate(rest):
+        # Entering the cycle at v displaces the cycle's own arc into v.
+        w2[xi, m - 1] = min(w[x, v] - w[int(parent[v]), v] for v in cycle)
+        w2[m - 1, xi] = min(w[v, x] for v in cycle)
+    return cycle_cost + _reference_contract_weight(w2, rest.index(root))
+
+
+def _same_weight(a, b):
+    """Bitwise equal; a node that no finite arc enters makes both versions
+    compute inf - inf inside the contraction, so both may return NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def _bound_instances(draw):
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["uniform", "ties", "inf"]))
+    if kind == "uniform":
+        value = st.floats(0.0, 1.0)
+    elif kind == "ties":
+        value = st.integers(0, draw(st.integers(0, 3))).map(float)
+    else:
+        value = st.one_of(st.just(math.inf), st.integers(0, 3).map(float), st.floats(0.0, 1.0))
+    d = np.array(draw(st.lists(value, min_size=n * n, max_size=n * n))).reshape(n, n)
+    nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    root = draw(st.sampled_from(nodes))
+    return d, nodes, root
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=_bound_instances())
+def test_bound_matches_numpy_reference(instance):
+    """The list contraction returns the numpy contraction's value bit for
+    bit, from an array and from nested lists alike."""
+    d, nodes, root = instance
+    with np.errstate(invalid="ignore"):  # inf - inf on numpy scalars
+        expected = _reference_min_arborescence_weight(d, nodes, root)
+        from_array = min_arborescence_weight(d, nodes, root)
+    from_lists = min_arborescence_weight(d.tolist(), nodes, root)
+    assert type(from_array) is float and type(from_lists) is float
+    assert _same_weight(from_array, expected)
+    assert _same_weight(from_lists, expected)
+
+
+def test_bound_matches_numpy_reference_on_planted_cycles():
+    """Cheap arcs planted around random node groups make the contraction
+    sum long cycles over several levels, where any change of operand order
+    shows up in the last bits (about one case in ten for a rotated cycle)."""
+    rng = np.random.Generator(np.random.PCG64(2024))
+    for _ in range(500):
+        n = int(rng.integers(4, 17))
+        d = rng.uniform(0.1, 1.0, size=(n, n))
+        perm = rng.permutation(n)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, 3)), replace=False))
+        for group in np.split(perm, cuts):
+            for a, b in zip(group, np.roll(group, -1)):
+                if a != b:
+                    d[a, b] = rng.uniform(0.0, 0.1)
+        nodes = [int(v) for v in rng.permutation(n)]
+        root = nodes[int(rng.integers(n))]
+        expected = _reference_min_arborescence_weight(d, nodes, root)
+        assert min_arborescence_weight(d.tolist(), nodes, root) == expected
+
+
+def test_bound_rejects_root_outside_nodes():
+    with pytest.raises(ValueError, match="^root must be among the nodes$"):
+        min_arborescence_weight(D3, [0, 1], 2)
+
+
+def _seed7_frames(extend):
+    x = synthesize_speechlike(2.0, seed=7).samples
+    for frame in x[: 6 * 8 * 320].reshape(6, 8, 320):
+        segments = [extend_segment(seg, 59).samples for seg in frame] if extend else list(frame)
+        yield build_distance_matrix(quantize_frame(segmented_spectrogram(segments)))
+
+
+@pytest.mark.parametrize("extend", [False, True])
+def test_search_matches_search_with_numpy_bound(extend, monkeypatch):
+    """On quantized speech frames the search returns the same order, cost
+    and node count as with the numpy bound, which it must reach through
+    the module global (the tracer wraps that name)."""
+    frames = list(_seed7_frames(extend))
+    fast = [solve_bnb(d) for d in frames]
+    calls = []
+
+    def reference(d, nodes, root):
+        calls.append(root)
+        return _reference_min_arborescence_weight(d, nodes, root)
+
+    monkeypatch.setattr(solver, "min_arborescence_weight", reference)
+    slow = [solve_bnb(d) for d in frames]
+    assert len(calls) >= len(frames) * 8
+    for got, want in zip(fast, slow):
+        assert got.order == want.order
+        assert got.cost == want.cost
+        assert got.nodes_expanded == want.nodes_expanded
 
 
 def test_bnb_matches_bruteforce_small():
@@ -187,6 +331,14 @@ def test_solver_rejects_degenerate_input():
         solve_bnb(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         solve_bruteforce(_random_matrix(np.random.default_rng(0), 11))
+
+
+@pytest.mark.parametrize("solve", [solve_bnb, solve_bruteforce, greedy_upper_bound])
+def test_solver_rejects_nan(solve):
+    d = D3.copy()
+    d[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^distance matrix must not contain NaN$"):
+        solve(d)
 
 
 def test_on_expand_reports_admissible_bounds():

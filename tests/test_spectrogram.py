@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from audiojigsaw.audio_io import synthesize_speechlike
+from audiojigsaw.estimator import extend_segment
 from audiojigsaw.spectrogram import (
     PieceImage,
     StftConfig,
@@ -156,6 +158,46 @@ def test_segmented_spectrogram_is_per_segment():
     np.testing.assert_array_equal(mats[2], stft_magnitude(segments[2]))
     with pytest.raises(ValueError):
         segmented_spectrogram([])
+
+
+def _frames(count, seed, length=320, extend=False):
+    x = synthesize_speechlike(count * 8 * 320 / 8000, seed=seed).samples
+    for frame in x[: count * 8 * 320].reshape(count, 8, 320):
+        if extend:
+            yield [extend_segment(seg, 59).samples for seg in frame]
+        else:
+            yield [seg[:length] for seg in frame]
+
+
+@pytest.mark.parametrize(
+    "name, frames",
+    [
+        ("speech", lambda: _frames(6, 3)),
+        ("extended speech", lambda: _frames(4, 4, extend=True)),
+        ("one window", lambda: _frames(6, 5, length=60)),
+        ("one window plus a hop less one", lambda: _frames(6, 5, length=68)),
+    ],
+)
+def test_frame_stft_equals_per_segment_reference(name, frames):
+    """The frame goes through one FFT call, yet every matrix is
+    bit-identical to transforming its segment alone."""
+    for segments in frames():
+        mats = segmented_spectrogram(segments)
+        assert len(mats) == len(segments)
+        for mat, seg in zip(mats, segments):
+            assert np.array_equal(mat, stft_magnitude(seg))
+
+
+def test_segmented_spectrogram_names_mismatched_lengths():
+    segments = [np.zeros(320), np.zeros(320), np.zeros(321)]
+    mismatch = r"^segments of one frame must share their length, got lengths \[320, 321\]$"
+    with pytest.raises(ValueError, match=mismatch):
+        segmented_spectrogram(segments)
+    too_short = "^sequence of 59 samples is shorter than one 60-sample window$"
+    with pytest.raises(ValueError, match=too_short):
+        segmented_spectrogram([np.zeros(59)] * 2)
+    with pytest.raises(ValueError, match="^samples must be one-dimensional$"):
+        segmented_spectrogram([np.zeros((2, 320))] * 2)
 
 
 def test_write_pgm_layout(tmp_path):
