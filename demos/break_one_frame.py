@@ -13,18 +13,14 @@ import numpy as np
 
 from audiojigsaw import (
     AttackConfig,
-    DistanceConfig,
     ScramblerConfig,
-    StftConfig,
     accuracy,
     build_distance_matrix,
-    extend_segment,
+    frame_pieces,
     invert_permutation,
     make_key_schedule,
-    quantize_frame,
     recover_key,
     scramble,
-    segmented_spectrogram,
     solve_bnb,
     synthesize_speechlike,
 )
@@ -39,7 +35,7 @@ def main():
     args = ap.parse_args()
 
     geom = ScramblerConfig(frame_size=args.frame_size)
-    stft, rls, dist = StftConfig(), AttackConfig().rls, DistanceConfig()
+    cfg = AttackConfig(scrambler=geom, use_estimation=not args.no_rls)
 
     plain = synthesize_speechlike(geom.frame_samples / geom.sample_rate, args.seed)
     keys = make_key_schedule(args.key_seed, 1, geom.frame_size)
@@ -49,13 +45,8 @@ def main():
 
     segments = cipher.samples.reshape(geom.frame_size, geom.segment_samples)
     began = time.perf_counter()
-    if args.no_rls:
-        sequences = list(segments)
-    else:
-        flank = stft.window_size - 1
-        sequences = [extend_segment(seg, flank, rls).samples for seg in segments]
-    pieces = quantize_frame(segmented_spectrogram(sequences, stft))
-    d = build_distance_matrix(pieces, dist)
+    pieces = frame_pieces(segments, cfg)
+    d = build_distance_matrix(pieces, cfg.distance)
     report = solve_bnb(d)
     elapsed = time.perf_counter() - began
 

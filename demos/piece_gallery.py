@@ -13,10 +13,7 @@ from pathlib import Path
 from audiojigsaw import (
     AttackConfig,
     ScramblerConfig,
-    StftConfig,
-    extend_segment,
-    quantize_frame,
-    segmented_spectrogram,
+    frame_pieces,
     synthesize_speechlike,
     write_pgm,
 )
@@ -32,17 +29,12 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     geom = ScramblerConfig(frame_size=args.frame_size)
-    stft = StftConfig()
-    rls = AttackConfig().rls
 
     plain = synthesize_speechlike(geom.frame_samples / geom.sample_rate, args.seed)
     segments = plain.samples.reshape(geom.frame_size, geom.segment_samples)
 
-    raw = quantize_frame(segmented_spectrogram(list(segments), stft))
-    flank = stft.window_size - 1
-    extended = quantize_frame(
-        segmented_spectrogram([extend_segment(s, flank, rls).samples for s in segments], stft)
-    )
+    raw = frame_pieces(segments, AttackConfig(scrambler=geom, use_estimation=False))
+    extended = frame_pieces(segments, AttackConfig(scrambler=geom))
     for piece in raw:
         write_pgm(piece, out / f"raw_piece{piece.piece_index}.pgm")
     for piece in extended:

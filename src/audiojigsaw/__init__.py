@@ -17,7 +17,7 @@ from .audio_io import (
     vad_trim,
     write_wav,
 )
-from .estimator import ExtendedSegment, RlsConfig, extend_segment, rls_run
+from .estimator import ExtendedSegment, RlsConfig, extend_frame, extend_segment, rls_run
 from .evaluation import AccuracyReport, accuracy, sub_block_matches, summarize_accuracy
 from .pipeline import (
     AttackConfig,
@@ -26,6 +26,7 @@ from .pipeline import (
     SweepSpec,
     attack,
     format_rows,
+    frame_pieces,
     sweep,
     write_results_csv,
 )
@@ -91,8 +92,10 @@ __all__ = [
     "attack",
     "build_distance_matrix",
     "descramble",
+    "extend_frame",
     "extend_segment",
     "format_rows",
+    "frame_pieces",
     "greedy_upper_bound",
     "hamming_window",
     "invert_permutation",

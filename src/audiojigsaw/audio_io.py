@@ -3,6 +3,15 @@
 Only PCM 16-bit mono WAV files are accepted.  Other layouts are rejected
 instead of silently converted, so nothing downstream ever sees resampled
 or channel-mixed data.
+
+The synthesizer's per-sample loops (pulse placement and three resonators
+with per-sample coefficients) run on Python floats taken from ``tolist()``
+chunks of 4,096 samples.  Indexing numpy arrays sample by sample costs
+several times more, and Python floats round exactly like float64 scalars,
+so the output is the same bit for bit.  The chunks bound the memory the
+lists take: a whole-signal list holds every sample as a 24-byte float
+object plus a pointer, and took the peak memory growth of a 10 s, 8 kHz
+synthesis from ~8 MB to ~20 MB.
 """
 
 from __future__ import annotations
@@ -134,6 +143,27 @@ _UNVOICED_LEVEL = (0.2, 0.5)
 _VOICED_LEVEL = (0.5, 1.0)
 _RAMP_S = 0.02
 
+# Samples per Python-list chunk in the per-sample loops (see the module docstring).
+_CHUNK = 4096
+
+
+def _resonate(x: np.ndarray, a1: np.ndarray, a2: float, gain: float) -> np.ndarray:
+    """Two-pole resonator from rest: y[m] = gain x[m] + a1[m] y[m-1] - a2 y[m-2].
+
+    The recursion runs on Python floats, which round exactly like numpy
+    float64 scalars, in chunks of ``_CHUNK`` samples written into one
+    preallocated array.
+    """
+    out = np.empty(x.size)
+    y1 = y2 = 0.0
+    for lo in range(0, x.size, _CHUNK):
+        block = []
+        for sample, coef in zip(x[lo : lo + _CHUNK].tolist(), a1[lo : lo + _CHUNK].tolist()):
+            y1, y2 = gain * sample + coef * y1 - a2 * y2, y1
+            block.append(y1)
+        out[lo : lo + len(block)] = block
+    return out
+
 
 def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000) -> AudioBuffer:
     """Generate a speech-like test signal: voiced stretches, bursts, pauses.
@@ -202,14 +232,19 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
         voiced[int(start * sample_rate) : min(n, int(stop * sample_rate))] = True
 
     pitch = piecewise_track(*_F0_RANGE_HZ, times, _F0_SPAN_S)
-    pulses = np.zeros(n)
+    pulse_at = []
     pos = 0
-    while pos < n:
-        if voiced[pos]:
-            pulses[pos] = 1.0
-            pos += int(round(sample_rate / pitch[pos]))
-        else:
-            pos += 1
+    for lo in range(0, n, _CHUNK):
+        is_voiced = voiced[lo : lo + _CHUNK].tolist()
+        f0 = pitch[lo : lo + _CHUNK].tolist()
+        while pos < lo + len(is_voiced):
+            if is_voiced[pos - lo]:
+                pulse_at.append(pos)
+                pos += int(round(sample_rate / f0[pos - lo]))
+            else:
+                pos += 1
+    pulses = np.zeros(n)
+    pulses[pulse_at] = 1.0
     noise = rng.standard_normal(n)
     excitation = _PULSE_GAIN * pulses + _ASPIRATION_GAIN * noise
     excitation[~voiced] += _FRICATION_GAIN * noise[~voiced]
@@ -218,17 +253,7 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
     for (f_lo, f_hi), radius in zip(_RESONANCE_BANDS, _RESONANCE_RADII):
         theta = 2.0 * math.pi * piecewise_track(f_lo, f_hi, times, _FORMANT_SPAN_S) / sample_rate
         a1 = 2.0 * radius * np.cos(theta)
-        a2 = radius * radius
-        gain = 1.0 - radius
-        out = np.empty(n)
-        y1 = 0.0
-        y2 = 0.0
-        for m in range(n):
-            value = gain * shaped[m] + a1[m] * y1 - a2 * y2
-            y2 = y1
-            y1 = value
-            out[m] = value
-        shaped = out
+        shaped = _resonate(shaped, a1, radius * radius, 1.0 - radius)
 
     shaped = shaped * envelope
     peak = np.max(np.abs(shaped))

@@ -15,8 +15,16 @@ import sys
 from pathlib import Path
 
 from .audio_io import WavFormatError, read_wav, vad_trim, write_wav
-from .estimator import RlsConfig, extend_segment
-from .pipeline import AttackConfig, SweepSpec, attack, format_rows, sweep, write_results_csv
+from .estimator import RlsConfig
+from .pipeline import (
+    AttackConfig,
+    SweepSpec,
+    attack,
+    format_rows,
+    frame_pieces,
+    sweep,
+    write_results_csv,
+)
 from .puzzle import DistanceConfig
 from .scrambler import (
     ScramblerConfig,
@@ -27,7 +35,7 @@ from .scrambler import (
     save_keys,
     scramble,
 )
-from .spectrogram import StftConfig, quantize_frame, segmented_spectrogram, write_pgm
+from .spectrogram import StftConfig, write_pgm
 from .evaluation import summarize_accuracy
 
 
@@ -267,25 +275,18 @@ def _cmd_sweep(ns) -> int:
 
 def _cmd_spectrogram(ns) -> int:
     buf = read_wav(ns.input)
-    geom = _scrambler_config(ns, buf.sample_rate)
+    cfg = _attack_config(ns, buf.sample_rate)
+    geom = cfg.scrambler
     n_frames = _frames_or_die(buf, geom)
     out_dir = Path(ns.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stft = StftConfig(ns.win_size, ns.overlap, ns.fft_size)
-    rls = RlsConfig(ns.rls_order, ns.forgetting)
     count = 0
     for f in range(n_frames):
         lo = f * geom.frame_samples
         segments = buf.samples[lo : lo + geom.frame_samples].reshape(
             geom.frame_size, geom.segment_samples
         )
-        if ns.no_rls:
-            sequences = list(segments)
-        else:
-            flank = stft.window_size - 1
-            sequences = [extend_segment(seg, flank, rls).samples for seg in segments]
-        pieces = quantize_frame(segmented_spectrogram(sequences, stft))
-        for piece in pieces:
+        for piece in frame_pieces(segments, cfg):
             write_pgm(piece, out_dir / f"frame{f:03d}_piece{piece.piece_index}.pgm")
             count += 1
     print(f"wrote {count} piece images -> {out_dir}")

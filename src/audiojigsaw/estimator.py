@@ -16,6 +16,19 @@ exactly at the minimiser of
 (Haykin, *Adaptive Filter Theory*, RLS chapter), so one regularised,
 exponentially weighted least-squares solve replaces the k rank-one updates.
 ``rls_run`` keeps the recursion as the reference.
+
+``extend_frame`` extends all 2N sides of a frame at once: one stacked
+solve for the weights, then one forecast loop over a ``(taps, 2N)`` work
+window.  Each step multiplies the window by the weights and reduces over
+the outer axis, which numpy does by adding whole rows one after another:
+tap by tap, from +0.0, in the order of the per-side dot product
+``w @ x[::-1]`` (its negative stride keeps that product off BLAS, in
+numpy's sequential loop).  So every forecast sample is bit-identical to
+extending the sides one by one.  ``@``, ``einsum`` or a reduce along a
+contiguous axis may use BLAS or pairwise summation instead and move the
+last bits.  A zero-input ``scipy.signal.lfilter`` response is no
+replacement either: it accumulates in another order, and the +/-4 clamp
+acts inside the feedback loop, which a filter run cannot reproduce.
 """
 
 from __future__ import annotations
@@ -111,59 +124,77 @@ class ExtendedSegment:
 
 
 def _terminal_weights(x: np.ndarray, cfg: RlsConfig) -> np.ndarray:
-    """The weights ``rls_run(x, cfg)`` ends at, from one least-squares solve.
+    """The weights ``rls_run`` ends at on each signal of ``x``, from one stacked solve.
 
-    Row j of the Hankel system is the regressor of RLS update j + 1, scaled
-    by sqrt(lambda)^(k-1-j) so that the squared errors carry the forgetting
-    weights; delta lambda^k on the diagonal is what is left of P(0)^-1.
-    The normal equations square the condition number of the system, so one
-    step of iterative refinement on the weighted residual follows the solve;
-    without it the weights can miss the minimum by 1e-10 of the objective.
+    ``x`` is one signal or a ``(sides, L)`` stack of them, and the result
+    holds one tap vector per signal.  Row i of each Hankel system is the
+    regressor of RLS update i + 1, scaled by sqrt(lambda)^(k-1-i) so that
+    the squared errors carry the forgetting weights; delta lambda^k on the
+    diagonal is what is left of P(0)^-1.  The normal equations square the
+    condition number of the system, so one step of iterative refinement on
+    the weighted residual follows the solve; without it the weights can
+    miss the minimum by 1e-10 of the objective.
     """
     taps = cfg.order + 1
-    _check_signal(x, taps)
-    k = x.size - taps
+    k = x.shape[-1] - taps
     scale = np.sqrt(cfg.forgetting) ** np.arange(k - 1, -1, -1)
-    a = sliding_window_view(x, taps)[:k, ::-1] * scale[:, None]
-    b = x[taps:] * scale
+    a = sliding_window_view(x, taps, axis=-1)[..., :k, ::-1] * scale[:, None]
+    at = np.swapaxes(a, -1, -2)
+    b = (x[..., taps:] * scale)[..., None]
     reg = cfg.init_reg * cfg.forgetting**k
-    r = a.T @ a
-    r[np.diag_indices(taps)] += reg
-    w = np.linalg.solve(r, a.T @ b)
-    return w + np.linalg.solve(r, a.T @ (b - a @ w) - reg * w)
+    r = at @ a
+    r[..., np.arange(taps), np.arange(taps)] += reg
+    w = np.linalg.solve(r, at @ b)
+    return (w + np.linalg.solve(r, at @ (b - a @ w) - reg * w))[..., 0]
 
 
-def _forecast(x: np.ndarray, length: int, cfg: RlsConfig) -> np.ndarray:
-    """Freeze terminal RLS weights on x, then roll the predictor forward."""
-    w = _terminal_weights(x, cfg)
-    taps = cfg.order + 1
-    work = np.empty(taps + length)
-    work[:taps] = x[-taps:]
-    clamped = 0
-    for i in range(length):
-        pred = w @ work[i : i + taps][::-1]
-        if abs(pred) > _CLAMP:
-            pred = _CLAMP if pred > 0 else -_CLAMP
-            clamped += 1
-        work[taps + i] = pred
-    if clamped:
-        logger.warning("clamped %d of %d forecast samples to +/-%g", clamped, length, _CLAMP)
-    return work[taps:]
+def extend_frame(segments, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndarray:
+    """Continue every segment of a frame ``length`` samples into the past and the future.
 
-
-def extend_segment(segment, length: int, cfg: RlsConfig = RlsConfig()) -> ExtendedSegment:
-    """Continue a segment ``length`` samples into the past and the future.
-
-    The future side feeds back one-step predictions from weights trained
-    forward over the segment; the past side does the same on the reversed
-    segment.  Forecast magnitudes are clamped to +/-4 (with a log warning)
-    so a runaway predictor cannot corrupt the spectrogram scale.
+    ``segments`` is an ``(N, L)`` array; row i of the ``(N, L + 2 length)``
+    result is segment i flanked by its past and future forecasts, with the
+    segment itself in the middle bit for bit.  The future side feeds back
+    one-step predictions from weights trained forward over the segment; the
+    past side does the same on the reversed segment.  All 2N sides share
+    one stacked weight solve and one forecast loop.  Forecast magnitudes
+    are clamped to +/-4, so a runaway predictor cannot corrupt the
+    spectrogram scale; each clamped side logs one warning, segment by
+    segment, future side first.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
-    x = np.asarray(segment, dtype=np.float64)
+    x = np.asarray(segments, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError("segments must be a non-empty 2-d (count, samples) array")
     if length == 0:
-        return ExtendedSegment(x.copy(), 0)
-    future = _forecast(x, length, cfg)
-    past = _forecast(x[::-1], length, cfg)[::-1]
-    return ExtendedSegment(np.concatenate([past, x, future]), length)
+        return x.copy()
+    taps = cfg.order + 1
+    _check_signal(x[0], taps)
+    n = x.shape[0]
+    # Row 2i is segment i forward (its future side), row 2i + 1 reversed (its past).
+    sides = np.stack([x, x[:, ::-1]], axis=1).reshape(2 * n, -1)
+    weights = _terminal_weights(sides, cfg).T.copy()
+    work = np.empty((taps + length, 2 * n))
+    work[:taps] = sides[:, -taps:].T
+    raw = np.empty((length, 2 * n))
+    for i in range(length):
+        # Outer-axis sum: tap by tap from +0.0, as the per-side dot product adds.
+        np.add.reduce(weights * work[i : i + taps][::-1], axis=0, out=raw[i], initial=0.0)
+        np.clip(raw[i], -_CLAMP, _CLAMP, out=work[taps + i])
+    for clamped in np.count_nonzero(np.abs(raw) > _CLAMP, axis=0).tolist():
+        if clamped:
+            logger.warning("clamped %d of %d forecast samples to +/-%g", clamped, length, _CLAMP)
+    forecast = work[taps:].T
+    return np.concatenate([forecast[1::2, ::-1], x, forecast[0::2]], axis=1)
+
+
+def extend_segment(segment, length: int, cfg: RlsConfig = RlsConfig()) -> ExtendedSegment:
+    """Continue one segment ``length`` samples into the past and the future.
+
+    The one-segment case of :func:`extend_frame`, with the same forecasts
+    and clamp warnings.
+    """
+    x = np.asarray(segment, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("segment must be one-dimensional")
+    return ExtendedSegment(extend_frame(x[None], length, cfg)[0], length)

@@ -20,12 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .audio_io import AudioBuffer, add_awgn, read_wav, synthesize_speechlike, vad_trim
-from .estimator import RlsConfig, extend_segment
+# extend_segment is no longer called here, but perfbench/tracer.py wraps it by this name.
+from .estimator import RlsConfig, extend_frame, extend_segment  # noqa: F401
 from .evaluation import accuracy
 from .puzzle import DistanceConfig, build_distance_matrix
 from .scrambler import KeySchedule, ScramblerConfig, invert_permutation, make_key_schedule, scramble
 from .solver import solve_bnb
-from .spectrogram import StftConfig, quantize_frame, segmented_spectrogram
+from .spectrogram import PieceImage, StftConfig, quantize_frame, segmented_spectrogram
 
 
 @dataclass(frozen=True)
@@ -61,18 +62,24 @@ class FrameAttackResult:
     accuracy: float | None = None
 
 
+def frame_pieces(segments: np.ndarray, cfg: AttackConfig) -> list[PieceImage]:
+    """Quantized spectrogram pieces of one frame's ``(N, L)`` segments.
+
+    With ``cfg.use_estimation`` every segment is first extended by
+    ``cfg.extension_samples`` forecast samples per side.  The stages are
+    looked up as this module's globals at call time, so a tracer that
+    rebinds them here sees every call.
+    """
+    if cfg.use_estimation:
+        segments = extend_frame(segments, cfg.extension_samples, cfg.rls)
+    return quantize_frame(segmented_spectrogram(segments, cfg.stft), cfg.quant_scale)
+
+
 def _solve_frame(segments: np.ndarray, cfg: AttackConfig):
     """Order the cipher segments of one frame by spectro-temporal continuity."""
     if cfg.scrambler.frame_size == 1:
         return (0,), 0.0, 0
-    if cfg.use_estimation:
-        flank = cfg.extension_samples
-        sequences = [extend_segment(seg, flank, cfg.rls).samples for seg in segments]
-    else:
-        sequences = list(segments)
-    matrices = segmented_spectrogram(sequences, cfg.stft)
-    pieces = quantize_frame(matrices, cfg.quant_scale)
-    distances = build_distance_matrix(pieces, cfg.distance)
+    distances = build_distance_matrix(frame_pieces(segments, cfg), cfg.distance)
     report = solve_bnb(distances)
     return report.order, report.cost, report.nodes_expanded
 

@@ -67,8 +67,9 @@ def solve_bruteforce(d, max_pieces: int = 10) -> SolveReport:
     """Enumerate every arrangement; ground truth for validating the search.
 
     Permutations stream in lexicographic order and ties keep the earliest,
-    so equal-cost optima resolve to the lexicographically smallest order.
-    Refuses more than ``max_pieces`` pieces (the stream has n! entries).
+    so equal-cost optima resolve to the lexicographically smallest order
+    (the identity when every arrangement costs +inf).  Refuses more than
+    ``max_pieces`` pieces (the stream has n! entries).
     """
     d = _validated(d)
     n = d.shape[0]
@@ -85,7 +86,7 @@ def solve_bruteforce(d, max_pieces: int = 10) -> SolveReport:
         examined += chunk.shape[0]
         costs = d[chunk[:, :-1], chunk[:, 1:]].sum(axis=1)
         pick = int(np.argmin(costs))
-        if costs[pick] < best_cost:
+        if best_order is None or costs[pick] < best_cost:
             best_cost = float(costs[pick])
             best_order = tuple(int(v) for v in chunk[pick])
     return SolveReport(best_order, arrangement_cost(d, best_order), examined, oracle_checked=True)
@@ -113,7 +114,7 @@ def greedy_upper_bound(d) -> SolveReport:
             order.append(nxt)
             remaining.remove(nxt)
         order = tuple(order)
-        if cost < best_cost or (cost == best_cost and order < best_order):
+        if best_order is None or cost < best_cost or (cost == best_cost and order < best_order):
             best_cost = cost
             best_order = order
     return SolveReport(best_order, best_cost, n)
@@ -128,13 +129,15 @@ def min_arborescence_weight(d, nodes: Iterable[int], root: int) -> float:
     open-path completion costs.
 
     ``d`` is anything indexable as ``d[u][v]``: an array or nested lists of
-    floats that are finite or +inf.  The contraction runs on plain Python
+    floats that are finite or +inf.  The weight is +inf when some non-root
+    node has no finite incoming arc.  The contraction runs on plain Python
     lists, because at 16 nodes or fewer numpy's per-call overhead costs more
     than the arithmetic.  It is bit-identical to the numpy contraction in
     the tests: each parent is the first minimum of its column (the tie
     rule of ``np.argmin``), the cycle found is the first one in node order,
     in the same rotation, and every sum and minimum takes its operands in
-    the same order.
+    the same order.  Only where that contraction computes inf - inf and
+    returns NaN does this one stop early with +inf.
     """
     nodes = list(nodes)
     if root not in nodes:
@@ -184,6 +187,10 @@ def _contract_weight(cols: list[list[float]], root: int) -> float:
         cycle_cost = 0.0
         for v in cycle:
             cycle_cost += in_weight[v]
+        if cycle_cost == math.inf:
+            # A node of the cycle has no finite in-arc, so no spanning tree
+            # is finite; contracting on would compute inf - inf.
+            return math.inf
         cycle_costs.append(cycle_cost)
         in_cycle = set(cycle)
         rest = [v for v in range(n) if v not in in_cycle]

@@ -1,8 +1,11 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+from audiojigsaw import audio_io
 from audiojigsaw.audio_io import (
     AudioBuffer,
     VadConfig,
@@ -178,6 +181,100 @@ def test_synthesize_has_quiet_and_loud_stretches():
     win = 400
     rms = np.sqrt(np.mean(x[: len(x) // win * win].reshape(-1, win) ** 2, axis=1))
     assert rms.max() > 8.0 * rms.min()
+
+
+def _reference_synthesize(duration_s, seed, sample_rate=8000):
+    """synthesize_speechlike with its per-sample loops on numpy arrays, as it
+    was before the loops moved onto Python-float chunks."""
+    aio = audio_io
+    n = int(round(duration_s * sample_rate))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    times = np.arange(n) / sample_rate
+
+    def piecewise_track(lo, hi, at, span):
+        key_t = [0.0]
+        key_v = [rng.uniform(lo, hi)]
+        while key_t[-1] < duration_s:
+            key_t.append(key_t[-1] + rng.uniform(*span))
+            key_v.append(rng.uniform(lo, hi))
+        return np.interp(at, key_t, key_v)
+
+    env_t = [0.0]
+    env_v = [rng.uniform(*aio._VOICED_LEVEL)]
+    voiced_spans = []
+    t = 0.0
+    while t < duration_s:
+        u = rng.uniform()
+        if u < aio._P_PAUSE:
+            dur = rng.uniform(*aio._PAUSE_DUR_S)
+            level = rng.uniform(*aio._PAUSE_LEVEL)
+        elif u < aio._P_PAUSE + aio._P_UNVOICED:
+            dur = rng.uniform(*aio._UNVOICED_DUR_S)
+            level = rng.uniform(*aio._UNVOICED_LEVEL)
+        else:
+            dur = rng.uniform(*aio._VOICED_DUR_S)
+            level = rng.uniform(*aio._VOICED_LEVEL)
+            voiced_spans.append((t, t + dur))
+        env_t.append(t + aio._RAMP_S)
+        env_v.append(level)
+        hold = t + aio._RAMP_S
+        while hold + 0.08 < t + dur:
+            hold += rng.uniform(0.06, 0.15)
+            env_t.append(hold)
+            env_v.append(level * rng.uniform(0.7, 1.3))
+        env_t.append(t + dur)
+        env_v.append(level)
+        t += dur
+    envelope = np.interp(times, env_t, env_v)
+    voiced = np.zeros(n, dtype=bool)
+    for start, stop in voiced_spans:
+        voiced[int(start * sample_rate) : min(n, int(stop * sample_rate))] = True
+
+    pitch = piecewise_track(*aio._F0_RANGE_HZ, times, aio._F0_SPAN_S)
+    pulses = np.zeros(n)
+    pos = 0
+    while pos < n:
+        if voiced[pos]:
+            pulses[pos] = 1.0
+            pos += int(round(sample_rate / pitch[pos]))
+        else:
+            pos += 1
+    noise = rng.standard_normal(n)
+    excitation = aio._PULSE_GAIN * pulses + aio._ASPIRATION_GAIN * noise
+    excitation[~voiced] += aio._FRICATION_GAIN * noise[~voiced]
+
+    shaped = lfilter([1.0], [1.0, -0.97], excitation)
+    for (f_lo, f_hi), radius in zip(aio._RESONANCE_BANDS, aio._RESONANCE_RADII):
+        theta = 2.0 * math.pi * piecewise_track(f_lo, f_hi, times, aio._FORMANT_SPAN_S) / sample_rate
+        a1 = 2.0 * radius * np.cos(theta)
+        a2 = radius * radius
+        gain = 1.0 - radius
+        out = np.empty(n)
+        y1 = 0.0
+        y2 = 0.0
+        for m in range(n):
+            value = gain * shaped[m] + a1[m] * y1 - a2 * y2
+            y2 = y1
+            y1 = value
+            out[m] = value
+        shaped = out
+
+    shaped = shaped * envelope
+    peak = np.max(np.abs(shaped))
+    return shaped * (0.9 / peak)
+
+
+# Sample counts below one 4096-sample chunk, at exactly one and two chunks,
+# and between chunk multiples, at both rates.
+@pytest.mark.parametrize(
+    "duration_s, sample_rate",
+    [(0.2, 8000), (0.512, 8000), (1.3, 8000), (0.1, 16000), (0.512, 16000), (0.77, 16000)],
+)
+def test_synthesize_matches_per_sample_reference_bytes(duration_s, sample_rate):
+    for seed in (0, 7, 222):
+        got = synthesize_speechlike(duration_s, seed, sample_rate).samples
+        want = _reference_synthesize(duration_s, seed, sample_rate)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_synthesize_rejects_bad_arguments():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from audiojigsaw.audio_io import synthesize_speechlike
@@ -12,6 +13,7 @@ from audiojigsaw.estimator import (
     ExtendedSegment,
     RlsConfig,
     _terminal_weights,
+    extend_frame,
     extend_segment,
     rls_run,
 )
@@ -128,9 +130,13 @@ def test_attack_names_the_frame_whose_segments_are_too_short():
 # --- closed-form terminal weights against the RLS recursion -------------------
 
 
-def _reference_forecast(x, length, cfg):
-    """The extension loop as it ran on rls_run's weights: (forecast, clamp count)."""
-    w, _ = rls_run(x, cfg)
+def _reference_forecast(x, length, cfg, w=None):
+    """The per-side extension loop: (forecast, clamp count).
+
+    It runs on rls_run's weights unless ``w`` gives the tap vector.
+    """
+    if w is None:
+        w, _ = rls_run(x, cfg)
     taps = cfg.order + 1
     work = np.empty(taps + length)
     work[:taps] = x[-taps:]
@@ -242,3 +248,126 @@ def test_terminal_weights_agree_with_rls_run(order, forgetting, extra, pole, see
     ref, _ = rls_run(x, cfg)
     got = _terminal_weights(x, cfg)
     assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+# --- the frame-batched extension against the per-side loop it replaced ---------
+
+
+def _reference_weights(x, cfg):
+    """Closed-form terminal weights of one side, solved on their own."""
+    taps = cfg.order + 1
+    k = x.size - taps
+    scale = np.sqrt(cfg.forgetting) ** np.arange(k - 1, -1, -1)
+    a = sliding_window_view(x, taps)[:k, ::-1] * scale[:, None]
+    b = x[taps:] * scale
+    reg = cfg.init_reg * cfg.forgetting**k
+    r = a.T @ a
+    r[np.diag_indices(taps)] += reg
+    w = np.linalg.solve(r, a.T @ b)
+    return w + np.linalg.solve(r, a.T @ (b - a @ w) - reg * w)
+
+
+def _reference_extend_frame(segments, length, cfg):
+    """Extend segment by segment, side by side: (rows, clamp counts in log order)."""
+    rows, counts = [], []
+    for seg in np.asarray(segments, dtype=np.float64):
+        rev = seg[::-1]
+        future, clamped_future = _reference_forecast(seg, length, cfg, _reference_weights(seg, cfg))
+        past, clamped_past = _reference_forecast(rev, length, cfg, _reference_weights(rev, cfg))
+        rows.append(np.concatenate([past[::-1], seg, future]))
+        counts += [c for c in (clamped_future, clamped_past) if c]
+    return np.array(rows), counts
+
+
+def _assert_frame_matches_reference(segments, length, cfg):
+    want, _ = _reference_extend_frame(segments, length, cfg)
+    got = extend_frame(segments, length, cfg)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# A segment of negative zeros: every forecast product is -0.0, and the
+# per-side dot product, which starts its sum at +0.0, returns +0.0; a sum
+# seeded with its first product would return -0.0.
+_BYTE_CASES = {**_EXTENSION_CASES, "negative zeros": np.full(320, -0.0)}
+
+
+@pytest.mark.parametrize("name", sorted(_BYTE_CASES))
+def test_extend_frame_matches_per_side_reference_bytes(name):
+    segment = _BYTE_CASES[name]
+    want, _ = _reference_extend_frame(segment[None], 59, RlsConfig())
+    assert extend_frame(segment[None], 59).tobytes() == want.tobytes()
+    assert extend_segment(segment, 59).samples.tobytes() == want[0].tobytes()
+
+
+def test_extend_frame_of_all_cases_matches_per_side_reference_bytes():
+    _assert_frame_matches_reference(np.stack(list(_BYTE_CASES.values())), 59, RlsConfig())
+
+
+@pytest.mark.parametrize("frame_size", [8, 16])
+def test_extend_frame_matches_per_side_reference_on_speech(frame_size):
+    x = synthesize_speechlike(3.0, seed=7).samples
+    frames = x[: x.size // (frame_size * 320) * frame_size * 320].reshape(-1, frame_size, 320)
+    for frame in frames:
+        _assert_frame_matches_reference(frame, 59, RlsConfig())
+
+
+def test_extend_frame_zero_length_and_validation():
+    frame = np.arange(640, dtype=np.float64).reshape(2, 320)
+    got = extend_frame(frame, 0)
+    assert got.tobytes() == frame.tobytes() and got is not frame
+    # a zero-length extension never trains a predictor, so short segments pass
+    assert extend_frame(np.ones((3, 5)), 0).shape == (3, 5)
+    with pytest.raises(ValueError, match="^length must be non-negative$"):
+        extend_frame(frame, -1)
+    with pytest.raises(ValueError, match="need a 1-d signal longer than 53 samples"):
+        extend_frame(np.ones((2, 53)), 5)
+    for bad in (np.ones(320), np.ones((2, 2, 320)), np.ones((0, 320))):
+        with pytest.raises(ValueError, match="^segments must be a non-empty 2-d"):
+            extend_frame(bad, 5)
+    with pytest.raises(ValueError, match="^segment must be one-dimensional$"):
+        extend_segment(np.ones((2, 320)), 5)
+
+
+def test_extend_frame_logs_clamps_like_the_per_side_loop(caplog):
+    """One warning per clamped side, segment by segment, future side first:
+    reversing a segment moves its clamps to the past side, and the spliced
+    segment clamps 4 future-side and 6 past-side samples."""
+    speech = synthesize_speechlike(10.0, seed=7).samples
+    spliced = np.concatenate([_CLAMPING_SPEECH[::-1][:100], _CLAMPING_SPEECH[100:]])
+    frame = np.stack(
+        [
+            _CLAMPING_SPEECH,
+            speech[68480:68800][::-1],
+            _EXTENSION_CASES["tone"],
+            spliced,
+            speech[7680:8000],
+        ]
+    )
+    cfg = RlsConfig()
+    _, want = _reference_extend_frame(frame, 59, cfg)
+    assert want == [4, 3, 4, 6, 2]
+    with caplog.at_level(logging.WARNING, logger="audiojigsaw.estimator"):
+        extend_frame(frame, 59, cfg)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"clamped {c} of 59 forecast samples to +/-4" for c in want
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(1, 12),
+    forgetting=st.floats(0.9, 1.0),
+    length=st.integers(0, 40),
+    count=st.integers(1, 6),
+    extra=st.integers(1, 80),
+    pole=st.floats(-0.99, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extend_frame_matches_per_side_reference_property(
+    order, forgetting, length, count, extra, pole, seed
+):
+    cfg = RlsConfig(order=order, forgetting=forgetting)
+    noise = np.random.Generator(np.random.PCG64(seed)).standard_normal((count, order + 1 + extra))
+    segments = lfilter([1.0], [1.0, -pole], noise, axis=1)
+    _assert_frame_matches_reference(segments, length, cfg)

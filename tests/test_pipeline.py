@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from audiojigsaw import pipeline
 from audiojigsaw.audio_io import AudioBuffer, synthesize_speechlike
+from audiojigsaw.estimator import RlsConfig, extend_segment
 from audiojigsaw.pipeline import (
     CSV_HEADER,
     AttackConfig,
@@ -12,10 +14,12 @@ from audiojigsaw.pipeline import (
     SweepSpec,
     attack,
     format_rows,
+    frame_pieces,
     sweep,
     write_results_csv,
 )
 from audiojigsaw.scrambler import ScramblerConfig, make_key_schedule, scramble
+from audiojigsaw.spectrogram import StftConfig, quantize_frame, segmented_spectrogram
 
 
 def _one_frame_cipher(seed=5, frame_size=4):
@@ -76,6 +80,48 @@ def test_attack_is_deterministic():
     np.testing.assert_array_equal(a.samples, b.samples)
     assert ra[0].arrangement == rb[0].arrangement
     assert ra[0].cost == rb[0].cost
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        AttackConfig(),
+        AttackConfig(use_estimation=False),
+        AttackConfig(quant_scale="linear", extension=20),
+        AttackConfig(stft=StftConfig(40, 30, 128), rls=RlsConfig(order=12, forgetting=0.99)),
+    ],
+)
+def test_frame_pieces_matches_segment_by_segment_chain(cfg):
+    """frame_pieces equals extending each segment on its own, then the STFT
+    and the joint quantization, pixel for pixel."""
+    x = synthesize_speechlike(1.0, seed=7).samples
+    for frame in x[: 3 * 2560].reshape(3, 8, 320):
+        if cfg.use_estimation:
+            flank = cfg.extension_samples
+            sequences = [extend_segment(seg, flank, cfg.rls).samples for seg in frame]
+        else:
+            sequences = list(frame)
+        want = quantize_frame(segmented_spectrogram(sequences, cfg.stft), cfg.quant_scale)
+        got = frame_pieces(frame, cfg)
+        assert [p.piece_index for p in got] == [p.piece_index for p in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.pixels, b.pixels)
+
+
+def test_attack_calls_the_frame_stages_through_module_globals(monkeypatch):
+    # a tracer rebinds these names in the pipeline module and must see each call
+    calls = []
+    for name in ("extend_frame", "segmented_spectrogram", "quantize_frame"):
+        original = getattr(pipeline, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    cipher, _, _, geom = _one_frame_cipher()
+    attack(cipher, AttackConfig(scrambler=geom))
+    assert calls == ["extend_frame", "segmented_spectrogram", "quantize_frame"]
 
 
 def test_attack_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from audiojigsaw.audio_io import synthesize_speechlike
-from audiojigsaw.estimator import extend_segment
+from audiojigsaw.pipeline import AttackConfig, frame_pieces
 from audiojigsaw.puzzle import (
     DistanceConfig,
     arrangement_cost,
@@ -10,7 +10,7 @@ from audiojigsaw.puzzle import (
     piece_distance,
     write_distance_csv,
 )
-from audiojigsaw.spectrogram import PieceImage, quantize_frame, segmented_spectrogram
+from audiojigsaw.spectrogram import PieceImage
 
 
 def _piece(rows, index=0):
@@ -142,8 +142,7 @@ def test_matrix_matches_pairwise_reference_on_random_pieces(n, rows, cols, cfg):
 def test_matrix_matches_pairwise_reference_on_speech(extend):
     x = synthesize_speechlike(1.0, seed=6).samples
     for frame in x[: 3 * 8 * 320].reshape(3, 8, 320):
-        segments = [extend_segment(seg, 59).samples for seg in frame] if extend else list(frame)
-        pieces = quantize_frame(segmented_spectrogram(segments))
+        pieces = frame_pieces(frame, AttackConfig(use_estimation=extend))
         assert np.array_equal(build_distance_matrix(pieces), _pairwise_matrix(pieces))
 
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from audiojigsaw import solver
 from audiojigsaw.audio_io import AudioBuffer, synthesize_speechlike
-from audiojigsaw.estimator import extend_segment
-from audiojigsaw.pipeline import AttackConfig, attack
-from audiojigsaw.puzzle import build_distance_matrix
+from audiojigsaw.pipeline import AttackConfig, attack, frame_pieces
+from audiojigsaw.puzzle import arrangement_cost, build_distance_matrix
 from audiojigsaw.scrambler import ScramblerConfig
 from audiojigsaw.solver import (
     SolveReport,
@@ -19,7 +18,6 @@ from audiojigsaw.solver import (
     solve_bnb,
     solve_bruteforce,
 )
-from audiojigsaw.spectrogram import quantize_frame, segmented_spectrogram
 
 D3 = np.array(
     [
@@ -146,10 +144,10 @@ def _reference_contract_weight(w, root):
     return cycle_cost + _reference_contract_weight(w2, rest.index(root))
 
 
-def _same_weight(a, b):
-    """Bitwise equal; a node that no finite arc enters makes both versions
-    compute inf - inf inside the contraction, so both may return NaN."""
-    return a == b or (math.isnan(a) and math.isnan(b))
+def _same_weight(got, reference):
+    """Bitwise equal, except where a node that no finite arc enters makes the
+    reference compute inf - inf and return NaN: there the bound is +inf."""
+    return got == reference or (math.isnan(reference) and got == math.inf)
 
 
 @st.composite
@@ -203,6 +201,54 @@ def test_bound_matches_numpy_reference_on_planted_cycles():
         assert min_arborescence_weight(d.tolist(), nodes, root) == expected
 
 
+def _infinite_arc_matrices(seed, count):
+    """Small integer matrices with 35% of their arcs at +inf; many have no
+    finite arrangement at all, or nodes that no finite arc enters."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
+        d = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+        d[rng.uniform(size=(n, n)) < 0.35] = np.inf
+        np.fill_diagonal(d, np.inf)
+        yield d
+
+
+def test_solvers_agree_when_arcs_are_infinite():
+    """Exhaustive search, best-first and depth-first search return the same
+    order and cost, +inf included (then the identity, the lexicographically
+    first order); greedy returns a permutation at its own chain's cost, and
+    no bound is NaN."""
+    greedy_infinite = all_infinite = 0
+    for d in _infinite_arc_matrices(404, 400):
+        n = d.shape[0]
+        exact = solve_bruteforce(d)
+        for found in (solve_bnb(d), solve_bnb(d, frontier_cap=2)):
+            assert (found.order, found.cost) == (exact.order, exact.cost)
+        greedy = greedy_upper_bound(d)
+        assert sorted(greedy.order) == list(range(n))
+        assert greedy.cost == arrangement_cost(d, greedy.order) >= exact.cost
+        greedy_infinite += greedy.cost == math.inf
+        if exact.cost == math.inf:
+            all_infinite += 1
+            assert exact.order == tuple(range(n))
+        for root in range(n):
+            assert not math.isnan(min_arborescence_weight(d, range(n), root))
+    # both used to raise TypeError on an infinite chain or arrangement
+    assert greedy_infinite > 20 and all_infinite > 5
+
+
+def test_bound_is_infinite_when_a_node_has_no_finite_in_arc():
+    # nothing finite enters node 0, which becomes its own parent: a cycle of
+    # infinite cost, where the reference contraction computes inf - inf
+    d = np.array([[np.inf, 1.0, 1.0], [np.inf, np.inf, 1.0], [np.inf, 1.0, np.inf]])
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(_reference_min_arborescence_weight(d, [0, 1, 2], 2))
+    assert min_arborescence_weight(d, [0, 1, 2], 2) == math.inf
+    assert min_arborescence_weight(d.tolist(), [0, 1, 2], 2) == math.inf
+    # the root itself may lack one: the tree 0 -> 1 -> 2 costs 2
+    assert min_arborescence_weight(d, [0, 1, 2], 0) == 2.0
+
+
 def test_bound_rejects_root_outside_nodes():
     with pytest.raises(ValueError, match="^root must be among the nodes$"):
         min_arborescence_weight(D3, [0, 1], 2)
@@ -211,8 +257,7 @@ def test_bound_rejects_root_outside_nodes():
 def _seed7_frames(extend):
     x = synthesize_speechlike(2.0, seed=7).samples
     for frame in x[: 6 * 8 * 320].reshape(6, 8, 320):
-        segments = [extend_segment(seg, 59).samples for seg in frame] if extend else list(frame)
-        yield build_distance_matrix(quantize_frame(segmented_spectrogram(segments)))
+        yield build_distance_matrix(frame_pieces(frame, AttackConfig(use_estimation=extend)))
 
 
 @pytest.mark.parametrize("extend", [False, True])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from audiojigsaw.audio_io import synthesize_speechlike
-from audiojigsaw.estimator import extend_segment
+from audiojigsaw.estimator import extend_frame
 from audiojigsaw.spectrogram import (
     PieceImage,
     StftConfig,
@@ -164,7 +164,7 @@ def _frames(count, seed, length=320, extend=False):
     x = synthesize_speechlike(count * 8 * 320 / 8000, seed=seed).samples
     for frame in x[: count * 8 * 320].reshape(count, 8, 320):
         if extend:
-            yield [extend_segment(seg, 59).samples for seg in frame]
+            yield list(extend_frame(frame, 59))
         else:
             yield [seg[:length] for seg in frame]
 
