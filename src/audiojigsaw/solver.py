@@ -8,6 +8,15 @@ bound.  The upper bound comes from nearest-neighbor chains, the lower
 bound from minimum spanning arborescences, which relax a Hamiltonian path
 into any spanning out-tree and can therefore never overshoot.
 
+The arborescence is computed only where nothing cheaper decides.  Its
+first step, every unplaced piece's cheapest in-arc, is itself a lower
+bound, so a child whose in-arc sum already prunes never pays for the
+contraction.  When those in-arcs form a tree, their sum *is* the
+arborescence weight, term for term and in the same order, so the
+contraction runs only for children whose cheapest in-arcs close a cycle.
+Orders, costs and node counts are those of a search that computes the
+full bound for every child.
+
 Cost ties between arrangements are broken toward the lexicographically
 smallest order, in both the exhaustive oracle and the search, so their
 results are directly comparable.  The search also uses that tie-break to
@@ -16,6 +25,12 @@ prefix sorts after the incumbent's prefix of the same length, can only
 complete into arrangements that cost at least as much and sort later, so
 none of them can win.  Silent frames, whose matrices are all ties, then
 take one branch instead of every one.
+
+A path's cost is summed left to right, the bound in contraction order, so
+in floating point a bound can exceed the cost of a path it bounds by a few
+units in the last place.  Every bound is therefore lowered by a relative
+slack gamma before it is compared with a cost (see :func:`_rounding_slack`);
+matrices whose sums are all exact, such as silent frames, need no slack.
 
 The search and its bound run on plain Python floats: the matrix is
 converted once per solve with ``tolist()``.  At 16 pieces or fewer every
@@ -68,8 +83,10 @@ def solve_bruteforce(d, max_pieces: int = 10) -> SolveReport:
 
     Permutations stream in lexicographic order and ties keep the earliest,
     so equal-cost optima resolve to the lexicographically smallest order
-    (the identity when every arrangement costs +inf).  Refuses more than
-    ``max_pieces`` pieces (the stream has n! entries).
+    (the identity when every arrangement costs +inf).  Costs are summed
+    left to right from 0.0, seam by seam, exactly as the search and
+    :func:`~audiojigsaw.puzzle.arrangement_cost` sum them.  Refuses more
+    than ``max_pieces`` pieces (the stream has n! entries).
     """
     d = _validated(d)
     n = d.shape[0]
@@ -84,7 +101,9 @@ def solve_bruteforce(d, max_pieces: int = 10) -> SolveReport:
         if chunk.size == 0:
             break
         examined += chunk.shape[0]
-        costs = d[chunk[:, :-1], chunk[:, 1:]].sum(axis=1)
+        costs = np.zeros(chunk.shape[0])
+        for k in range(n - 1):
+            costs = costs + d[chunk[:, k], chunk[:, k + 1]]
         pick = int(np.argmin(costs))
         if best_order is None or costs[pick] < best_cost:
             best_cost = float(costs[pick])
@@ -96,23 +115,29 @@ def greedy_upper_bound(d) -> SolveReport:
     """Best nearest-neighbor chain over all starting pieces.
 
     Not optimal, but never worse than the chain from any single start;
-    used to seed the branch-and-bound incumbent.
+    used to seed the branch-and-bound incumbent.  Each step takes the
+    cheapest arc to an unplaced piece, ties to the lower index; every row's
+    targets are ranked that way once, so a step walks its row's ranking
+    past the placed pieces only.
     """
     d = _validated(d)
     n = d.shape[0]
     rows = d.tolist()
+    ranked = [[j for _, j in sorted(zip(row, range(n)))] for row in rows]
     best_order = None
     best_cost = np.inf
     for start in range(n):
         order = [start]
         cost = 0.0
-        remaining = set(range(n)) - {start}
-        while remaining:
-            here = rows[order[-1]]
-            nxt = min(remaining, key=lambda j: (here[j], j))
-            cost += here[nxt]
+        placed = 1 << start
+        for _ in range(n - 1):
+            here = order[-1]
+            for nxt in ranked[here]:
+                if not placed >> nxt & 1:
+                    break
+            cost += rows[here][nxt]
             order.append(nxt)
-            remaining.remove(nxt)
+            placed |= 1 << nxt
         order = tuple(order)
         if best_order is None or cost < best_cost or (cost == best_cost and order < best_order):
             best_cost = cost
@@ -209,6 +234,45 @@ def _contract_weight(cols: list[list[float]], root: int) -> float:
     return total
 
 
+def _rounding_slack(d: np.ndarray) -> float:
+    """Relative slack gamma by which the search lowers a bound before comparing it with a cost.
+
+    In exact arithmetic a node's bound B never exceeds the cost C of any
+    completion; the rounded values can disagree.  Let u = 2**-53 be the
+    unit roundoff.  Any order of summing m non-negative terms errs by at
+    most (m - 1)u relative to the exact sum, to first order (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4).
+    The search sums C left to right over n - 1 arcs, so the rounded C is at
+    least C(1 - (n - 2)u).  The bound sums the prefix arcs and the
+    contraction's terms, at most 2n - 3 non-negative terms (an in-arc per
+    node and level plus a cost per cycle), so the sum order adds at most
+    (2n - 4)u.  Its terms at deeper levels are rounded differences of
+    arcs, at most n - 2 of them per arc (one per level), each off by at
+    most u of a non-negative result no larger than the arc, adding at most
+    (n - 2)u.  So the rounded B is at most B(1 + (3n - 6)u), and with
+    gamma = 4nu the lowered bound B(1 - gamma) never exceeds the rounded
+    cost of a path it bounds, with 8u to spare for the second-order terms.
+    The argument is for non-negative arcs, as seam distances are; a
+    negative bound is scaled by 1 + gamma instead, so the slack always
+    lowers it.
+
+    No slack is needed where every sum is exact: when each finite entry is
+    an integer multiple of 2**(p - 53), where n times the largest entry is
+    below 2**p, every sum and difference either side forms is an integer
+    number of those units below 2**53.  Silent frames (all zeros), constant
+    and small-integer matrices qualify, get gamma = 0, and keep the
+    tie-break prune of a bound that equals the incumbent.
+    """
+    n = d.shape[0]
+    finite = np.abs(d[np.isfinite(d)])
+    top = n * float(finite.max(initial=0.0))
+    if top < 2.0**53:
+        units = np.ldexp(finite, 53 - math.frexp(top)[1])
+        if np.array_equal(units, np.floor(units)):
+            return 0.0
+    return 4 * n * 2.0**-53
+
+
 def solve_bnb(
     d,
     initial: SolveReport | None = None,
@@ -229,7 +293,19 @@ def solve_bnb(
     a node costs at least the incumbent and is lexicographically larger:
     it can neither beat the incumbent nor win the tie-break against it.
     The incumbent only ever improves, so a node pruned against an earlier
-    incumbent stays pruned against the final one.
+    incumbent stays pruned against the final one.  Bounds are lowered by
+    :func:`_rounding_slack` before every comparison, so rounding cannot
+    make a bound overshoot either.
+
+    Each node is first tested on the cheapest in-arc of every unplaced
+    piece: the first step of Chu-Liu/Edmonds, with parents picked by
+    ``np.argmin``'s first-minimum rule in the bound's node order (endpoint,
+    then unplaced pieces ascending) and summed from 0.0 in that order.  The
+    sum never exceeds the arborescence weight, so a node it prunes the full
+    bound prunes too; when the parents form no cycle it equals that weight
+    bit for bit, and :func:`min_arborescence_weight` runs only for nodes
+    whose cheapest in-arcs close a cycle.  Each column's sources are ranked
+    once per solve, so finding a cheapest in-arc rarely scans.
 
     If the frontier outgrows ``frontier_cap`` entries the search degrades
     to depth-first under the same bound, which trades order of exploration
@@ -244,29 +320,61 @@ def solve_bnb(
     incumbent = initial if initial is not None else greedy_upper_bound(d)
     inc_order = tuple(incumbent.order)
     inc_cost = float(incumbent.cost)
+    gamma = _rounding_slack(d)
 
     all_mask = (1 << n) - 1
-    bound_cache: dict[tuple[int, int], float] = {}
+    # in_ranked[v]: the other pieces, cheapest arc into v first, ties to the lower index.
+    in_ranked = [[u for _, u in sorted((rows[u][v], u) for u in range(n) if u != v)] for v in range(n)]
+    # (endpoint, unplaced_mask) -> (lower bound on the arborescence weight, whether it is that weight)
+    bound_cache: dict[tuple[int, int], tuple[float, bool]] = {}
 
-    def lower_bound(endpoint: int, unplaced_mask: int) -> float:
+    def cheapest_in_arcs(endpoint: int, unplaced_mask: int) -> tuple[float, bool]:
+        """Sum of the unplaced pieces' cheapest in-arcs, and whether those arcs form a tree."""
+        sources = unplaced_mask | 1 << endpoint
+        from_endpoint = rows[endpoint]
+        total = 0.0
+        parent = {}
+        for v in range(n):
+            if not unplaced_mask >> v & 1:
+                continue
+            for u in in_ranked[v]:
+                if sources >> u & 1:
+                    break
+            weight = rows[u][v]
+            # The endpoint heads the node order, so it wins a tie.
+            parent[v] = endpoint if from_endpoint[v] == weight else u
+            total += weight
+        return total, _reaches_root(parent, endpoint)
+
+    def lowered(bound: float) -> float:
+        return bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
+
+    def dominated(bound: float, prefix: tuple[int, ...]) -> bool:
+        bound = lowered(bound)
+        return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
+
+    def open_bound(cost: float, prefix: tuple[int, ...], unplaced_mask: int) -> float | None:
+        """The node's bound, or None when it is pruned."""
+        endpoint = prefix[-1]
         key = (endpoint, unplaced_mask)
         cached = bound_cache.get(key)
         if cached is None:
+            cached = bound_cache[key] = cheapest_in_arcs(endpoint, unplaced_mask)
+        weight, exact = cached
+        if not exact and not dominated(cost + weight, prefix):
             nodes = [endpoint] + [j for j in range(n) if unplaced_mask >> j & 1]
-            cached = min_arborescence_weight(rows, nodes, endpoint)
-            bound_cache[key] = cached
-        return cached
-
-    def dominated(bound: float, prefix: tuple[int, ...]) -> bool:
-        return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
+            weight = min_arborescence_weight(rows, nodes, endpoint)
+            bound_cache[key] = (weight, True)
+        bound = cost + weight
+        return None if dominated(bound, prefix) else bound
 
     # Heap entries: (bound, -depth, prefix, cost_so_far, unplaced_mask).
     frontier: list[tuple[float, int, tuple[int, ...], float, int]] = []
     expanded = 1  # the virtual root
     for start in range(n):
         mask = all_mask & ~(1 << start)
-        bound = lower_bound(start, mask)
-        if not dominated(bound, (start,)):
+        bound = open_bound(0.0, (start,), mask)
+        if bound is not None:
             heapq.heappush(frontier, (bound, -1, (start,), 0.0, mask))
 
     best_first = True
@@ -277,7 +385,7 @@ def solve_bnb(
             best_first = False
         if best_first:
             bound, neg_depth, prefix, cost, mask = heapq.heappop(frontier)
-            if bound > inc_cost:
+            if lowered(bound) > inc_cost:
                 break  # heap order: nothing better remains
             if dominated(bound, prefix):
                 continue  # a tie that sorts late; later entries may still win
@@ -301,8 +409,8 @@ def solve_bnb(
                     inc_order = child_prefix
                 continue
             child_mask = mask & ~(1 << j)
-            child_bound = child_cost + lower_bound(j, child_mask)
-            if dominated(child_bound, child_prefix):
+            child_bound = open_bound(child_cost, child_prefix, child_mask)
+            if child_bound is None:
                 continue
             entry = (child_bound, -(depth + 1), child_prefix, child_cost, child_mask)
             if best_first:
@@ -311,6 +419,21 @@ def solve_bnb(
                 frontier.append(entry)
 
     return SolveReport(inc_order, inc_cost, expanded)
+
+
+def _reaches_root(parent: dict[int, int], root: int) -> bool:
+    """Whether following parent pointers from every node ends at ``root``
+    (the pointers form a tree) rather than in a cycle."""
+    rooted = {root}
+    for v in parent:
+        trail = set()
+        while v not in rooted:
+            if v in trail:
+                return False
+            trail.add(v)
+            v = parent[v]
+        rooted |= trail
+    return True
 
 
 def recover_key(arrangement: Sequence[int]) -> tuple[int, ...]:

@@ -140,7 +140,9 @@ def quantize_frame(matrices: Sequence[np.ndarray], scale: str = "db") -> list[Pi
     With the default ``db`` scale each value v becomes 20*log10(v + 1e-10)
     first.  One (lo, hi) range is taken over ALL matrices of the frame so
     grey levels stay comparable across pieces; lo maps to 0, hi to 255,
-    rounding half-up.  A flat frame (hi == lo) quantizes to all zeros.
+    rounding half-up.  A flat frame (hi == lo) quantizes to all zeros.  The
+    matrices are placed side by side and go through one elementwise pass,
+    then are split back, so they may differ in column count.
     """
     if not len(matrices):
         raise ValueError("no matrices given")
@@ -149,21 +151,17 @@ def quantize_frame(matrices: Sequence[np.ndarray], scale: str = "db") -> list[Pi
     rows = matrices[0].shape[0]
     if any(m.shape[0] != rows for m in matrices):
         raise ValueError("matrices of one frame must share their row count")
+    values = np.concatenate(matrices, axis=1, dtype=np.float64)
     if scale == "db":
-        values = [20.0 * np.log10(np.asarray(m, dtype=np.float64) + 1e-10) for m in matrices]
+        values = 20.0 * np.log10(values + 1e-10)
+    lo, hi = values.min(), values.max()
+    if hi == lo:
+        pixels = np.zeros(values.shape, dtype=np.uint8)
     else:
-        values = [np.asarray(m, dtype=np.float64) for m in matrices]
-    lo = min(float(v.min()) for v in values)
-    hi = max(float(v.max()) for v in values)
-    pieces = []
-    for i, v in enumerate(values):
-        if hi == lo:
-            pixels = np.zeros(v.shape, dtype=np.uint8)
-        else:
-            scaled = 255.0 * (v - lo) / (hi - lo)
-            pixels = np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
-        pieces.append(PieceImage(pixels, i))
-    return pieces
+        scaled = 255.0 * (values - lo) / (hi - lo)
+        pixels = np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
+    cuts = np.cumsum([m.shape[1] for m in matrices[:-1]], dtype=np.intp)
+    return [PieceImage(p, i) for i, p in enumerate(np.split(pixels, cuts, axis=1))]
 
 
 def write_pgm(piece, path) -> None:

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -254,9 +255,9 @@ def test_bound_rejects_root_outside_nodes():
         min_arborescence_weight(D3, [0, 1], 2)
 
 
-def _seed7_frames(extend):
-    x = synthesize_speechlike(2.0, seed=7).samples
-    for frame in x[: 6 * 8 * 320].reshape(6, 8, 320):
+def _seed7_frames(extend, n=8, count=6):
+    x = synthesize_speechlike(count * n * 320 / 8000, seed=7).samples
+    for frame in x[: count * n * 320].reshape(count, n, 320):
         yield build_distance_matrix(frame_pieces(frame, AttackConfig(use_estimation=extend)))
 
 
@@ -264,22 +265,191 @@ def _seed7_frames(extend):
 def test_search_matches_search_with_numpy_bound(extend, monkeypatch):
     """On quantized speech frames the search returns the same order, cost
     and node count as with the numpy bound, which it must reach through
-    the module global (the tracer wraps that name)."""
+    the module global (the tracer wraps that name), on the same children."""
     frames = list(_seed7_frames(extend))
-    fast = [solve_bnb(d) for d in frames]
-    calls = []
+    fast_calls, slow_calls = [], []
+
+    def counted(d, nodes, root):
+        fast_calls.append((root, tuple(nodes)))
+        return min_arborescence_weight(d, nodes, root)
 
     def reference(d, nodes, root):
-        calls.append(root)
+        slow_calls.append((root, tuple(nodes)))
         return _reference_min_arborescence_weight(d, nodes, root)
 
+    monkeypatch.setattr(solver, "min_arborescence_weight", counted)
+    fast = [solve_bnb(d) for d in frames]
     monkeypatch.setattr(solver, "min_arborescence_weight", reference)
     slow = [solve_bnb(d) for d in frames]
-    assert len(calls) >= len(frames) * 8
+    # Only children whose cheapest in-arcs close a cycle reach the bound.
+    assert slow_calls and slow_calls == fast_calls
     for got, want in zip(fast, slow):
         assert got.order == want.order
         assert got.cost == want.cost
         assert got.nodes_expanded == want.nodes_expanded
+
+
+def _cheapest_in_arcs_close_a_cycle(d, nodes, root):
+    """Whether the first-minimum in-arcs (``np.argmin``'s rule, in node
+    order) of every node but the root form a cycle."""
+    sub = d[np.ix_(nodes, nodes)]
+    np.fill_diagonal(sub, np.inf)
+    parent = np.argmin(sub, axis=0)
+    r = nodes.index(root)
+    for v in range(len(nodes)):
+        for _ in range(len(nodes)):
+            if v == r:
+                break
+            v = int(parent[v])
+        else:
+            return True
+    return False
+
+
+def _reference_solve_bnb(d, frontier_cap=1_000_000):
+    """The search before the in-arc pre-filter: the full arborescence bound
+    for every child, with the same rounding slack."""
+    d = solver._validated(d)
+    n = d.shape[0]
+    rows = d.tolist()
+    incumbent = _reference_greedy(d)
+    inc_order, inc_cost = incumbent.order, incumbent.cost
+    gamma = solver._rounding_slack(d)
+    all_mask = (1 << n) - 1
+    bound_cache = {}
+
+    def lower_bound(endpoint, unplaced_mask):
+        key = (endpoint, unplaced_mask)
+        if key not in bound_cache:
+            nodes = [endpoint] + [j for j in range(n) if unplaced_mask >> j & 1]
+            bound_cache[key] = min_arborescence_weight(rows, nodes, endpoint)
+        return bound_cache[key]
+
+    def lowered(bound):
+        return bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
+
+    def dominated(bound, prefix):
+        bound = lowered(bound)
+        return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
+
+    frontier = []
+    expanded = 1
+    for start in range(n):
+        mask = all_mask & ~(1 << start)
+        bound = lower_bound(start, mask)
+        if not dominated(bound, (start,)):
+            heapq.heappush(frontier, (bound, -1, (start,), 0.0, mask))
+    best_first = True
+    while frontier:
+        if best_first and len(frontier) > frontier_cap:
+            frontier.sort(key=lambda e: (e[0], e[1], e[2]), reverse=True)
+            best_first = False
+        if best_first:
+            bound, neg_depth, prefix, cost, mask = heapq.heappop(frontier)
+            if lowered(bound) > inc_cost:
+                break
+        else:
+            bound, neg_depth, prefix, cost, mask = frontier.pop()
+        if dominated(bound, prefix):
+            continue
+        expanded += 1
+        here = rows[prefix[-1]]
+        depth = -neg_depth
+        for j in range(n):
+            if not mask >> j & 1:
+                continue
+            child_cost = cost + here[j]
+            child_prefix = prefix + (j,)
+            if depth + 1 == n:
+                if child_cost < inc_cost or (child_cost == inc_cost and child_prefix < inc_order):
+                    inc_cost, inc_order = child_cost, child_prefix
+                continue
+            child_mask = mask & ~(1 << j)
+            child_bound = child_cost + lower_bound(j, child_mask)
+            if dominated(child_bound, child_prefix):
+                continue
+            entry = (child_bound, -(depth + 1), child_prefix, child_cost, child_mask)
+            if best_first:
+                heapq.heappush(frontier, entry)
+            else:
+                frontier.append(entry)
+    return SolveReport(inc_order, inc_cost, expanded)
+
+
+def _reference_greedy(d):
+    """Nearest-neighbor chains by a fresh minimum over the unplaced pieces."""
+    n = d.shape[0]
+    rows = d.tolist()
+    best_order, best_cost = None, math.inf
+    for start in range(n):
+        order, cost = [start], 0.0
+        remaining = set(range(n)) - {start}
+        while remaining:
+            here = rows[order[-1]]
+            nxt = min(remaining, key=lambda j: (here[j], j))
+            cost += here[nxt]
+            order.append(nxt)
+            remaining.remove(nxt)
+        order = tuple(order)
+        if best_order is None or cost < best_cost or (cost == best_cost and order < best_order):
+            best_order, best_cost = order, cost
+    return SolveReport(best_order, best_cost, n)
+
+
+def _assert_same_search(d):
+    """Same greedy chain, same search, the full bound called only where the
+    cheapest in-arcs close a cycle, and every expanded node's bound equal
+    to the full arborescence bound bit for bit, shortcut or not."""
+    greedy, want = greedy_upper_bound(d), _reference_greedy(d)
+    assert (greedy.order, greedy.cost) == (want.order, want.cost)
+    n = d.shape[0]
+
+    def only_on_cycles(rows, nodes, root):
+        assert _cheapest_in_arcs_close_a_cycle(d, nodes, root)
+        return min_arborescence_weight(rows, nodes, root)
+
+    for frontier_cap in (1_000_000, 2):
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "min_arborescence_weight", only_on_cycles)
+            got = solve_bnb(d, frontier_cap=frontier_cap, on_expand=lambda *node: seen.append(node))
+        for prefix, cost, bound in seen:
+            nodes = [prefix[-1]] + [j for j in range(n) if j not in prefix]
+            assert bound == cost + _reference_min_arborescence_weight(d, nodes, prefix[-1])
+        want = _reference_solve_bnb(d, frontier_cap=frontier_cap)
+        assert (got.order, got.cost, got.nodes_expanded) == (want.order, want.cost, want.nodes_expanded)
+
+
+@pytest.mark.parametrize("extend", [False, True])
+@pytest.mark.parametrize("n, count", [(8, 6), (12, 3), (16, 2)])
+def test_search_matches_full_bound_search_on_speech(n, count, extend):
+    """The in-arc pre-filter and the acyclic shortcut change nothing: the
+    same orders, costs and node counts as computing the full bound for
+    every child, and the same greedy chains as a fresh minimum per step."""
+    for d in _seed7_frames(extend, n, count):
+        _assert_same_search(d)
+
+
+def _integer_tie_matrices(seed, count):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        d = rng.integers(0, int(rng.integers(1, 4)) + 1, size=(n, n)).astype(np.float64)
+        np.fill_diagonal(d, np.inf)
+        yield d
+
+
+@pytest.mark.parametrize(
+    "name, matrices",
+    [
+        ("tie-heavy integers", lambda: _integer_tie_matrices(606, 300)),
+        ("+inf arcs", lambda: _infinite_arc_matrices(404, 300)),
+        ("all zero", lambda: (_all_ties(n, 0.0) for n in (2, 5, 8, 12))),
+    ],
+)
+def test_search_matches_full_bound_search_on_degenerate_matrices(name, matrices):
+    for d in matrices():
+        _assert_same_search(d)
 
 
 def test_bnb_matches_bruteforce_small():
@@ -367,6 +537,77 @@ def test_tie_pruning_matches_bruteforce(d, frontier_cap):
     found = solve_bnb(d, frontier_cap=frontier_cap)
     assert found.order == exact.order
     assert found.cost == exact.cost
+
+
+_POOL = [math.sqrt(k / 7) for k in range(1, 8)] + [0.1, 0.2, 0.3, 0.7]
+
+
+@st.composite
+def _pooled_matrices(draw):
+    n = draw(st.integers(4, 7))
+    values = draw(st.lists(st.sampled_from(_POOL), min_size=n * n, max_size=n * n))
+    d = np.array(values).reshape(n, n)
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
+# Without the rounding slack the search returns (2, 1, 0, 3): its bound
+# rounds one ulp above the cost of (1, 0, 2, 3), which ties it.
+_ROUNDING_TIE = np.array([_POOL[i] for i in (0, 2, 0, 8, 9, 0, 1, 0, 3, 0, 0, 8, 4, 6, 2, 0)])
+_ROUNDING_TIE = _ROUNDING_TIE.reshape(4, 4) + np.diag([np.inf] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_pooled_matrices(), frontier_cap=st.sampled_from([1_000_000, 2]))
+@example(d=_ROUNDING_TIE, frontier_cap=1_000_000)
+def test_search_is_exact_on_real_valued_ties(d, frontier_cap):
+    """Arcs drawn from a few irrational and decimal values tie arrangements
+    whose sums round differently in different orders; the search must still
+    return the left-to-right oracle's order and cost."""
+    exact = solve_bruteforce(d)
+    found = solve_bnb(d, frontier_cap=frontier_cap)
+    assert (found.order, found.cost) == (exact.order, exact.cost)
+
+
+def test_rounding_slack_is_zero_only_where_sums_are_exact():
+    assert solver._rounding_slack(_all_ties(8, 0.0)) == 0.0
+    assert solver._rounding_slack(_all_ties(9, 2.5)) == 0.0
+    assert solver._rounding_slack(D3) == 0.0
+    assert solver._rounding_slack(-D3) == 0.0
+    assert solver._rounding_slack(np.full((4, 4), 2.0**50)) == 0.0
+    # 4 * 2**51 is not below 2**53, so sums of such arcs may round
+    assert solver._rounding_slack(np.full((4, 4), 2.0**51)) == 16 * 2.0**-53
+    assert solver._rounding_slack(_ROUNDING_TIE) == 16 * 2.0**-53
+    for d in _seed7_frames(False, count=1):
+        assert solver._rounding_slack(d) == 32 * 2.0**-53
+
+
+def test_search_is_exact_on_negative_and_mixed_real_valued_ties():
+    """Lowering a negative bound means scaling it by 1 + gamma; scaling it by
+    1 - gamma raises it and prunes optima (85 of 1,500 negative matrices)."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    negative = [-x for x in _POOL]
+    for pool in (negative, _POOL + negative):
+        for _ in range(300):
+            n = int(rng.integers(4, 8))
+            d = rng.choice(pool, size=(n, n))
+            np.fill_diagonal(d, np.inf)
+            exact = solve_bruteforce(d)
+            found = solve_bnb(d)
+            assert (found.order, found.cost) == (exact.order, exact.cost)
+
+
+def test_bruteforce_sums_left_to_right():
+    """From 9 pieces numpy's row sums stop adding left to right; the oracle
+    must add seam by seam like the search, or it picks (5, 0, 1, 6, 7, 4,
+    8, 2, 3), whose left-to-right cost is one ulp above the optimum."""
+    d = np.random.Generator(np.random.PCG64(0)).choice(_POOL, size=(9, 9))
+    np.fill_diagonal(d, np.inf)
+    exact = solve_bruteforce(d)
+    assert exact.order == (7, 4, 5, 0, 1, 6, 8, 2, 3)
+    assert exact.cost == arrangement_cost(d, exact.order)
+    found = solve_bnb(d)
+    assert (found.order, found.cost) == (exact.order, exact.cost)
 
 
 def test_solver_rejects_degenerate_input():

@@ -200,6 +200,58 @@ def test_segmented_spectrogram_names_mismatched_lengths():
         segmented_spectrogram([np.zeros((2, 320))] * 2)
 
 
+def _reference_quantize(matrices, scale):
+    """Piece by piece, as the frame's one-pass quantization replaced."""
+    if scale == "db":
+        values = [20.0 * np.log10(np.asarray(m, dtype=np.float64) + 1e-10) for m in matrices]
+    else:
+        values = [np.asarray(m, dtype=np.float64) for m in matrices]
+    lo = min(float(v.min()) for v in values)
+    hi = max(float(v.max()) for v in values)
+    pieces = []
+    for v in values:
+        if hi == lo:
+            pieces.append(np.zeros(v.shape, dtype=np.uint8))
+        else:
+            scaled = 255.0 * (v - lo) / (hi - lo)
+            pieces.append(np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8))
+    return pieces
+
+
+def _ragged_sets(seed, count):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(count):
+        rows = int(rng.integers(1, 130))
+        widths = rng.integers(1, 40, size=int(rng.integers(1, 17)))
+        spread = 10.0 ** rng.uniform(-3, 3)
+        mats = [spread * rng.random((rows, int(w))) ** 3 for w in widths]
+        if rng.random() < 0.3:
+            mats = [m.astype(np.float32) for m in mats]
+        yield mats
+
+
+@pytest.mark.parametrize("scale", ["db", "linear"])
+@pytest.mark.parametrize(
+    "name, frames",
+    [
+        ("speech", lambda: (segmented_spectrogram(f) for f in _frames(6, 3))),
+        ("extended speech", lambda: (segmented_spectrogram(f) for f in _frames(3, 4, extend=True))),
+        ("ragged", lambda: _ragged_sets(12, 60)),
+        ("flat", lambda: [[np.full((128, 29), 3.0)] * 8, [np.zeros((4, 3)), np.zeros((4, 5))]]),
+    ],
+)
+def test_quantize_frame_matches_per_piece_reference(name, frames, scale):
+    """One pass over the whole frame gives every piece the bytes that
+    quantizing it alone against the frame's range gives."""
+    for mats in frames():
+        pieces = quantize_frame(mats, scale=scale)
+        expected = _reference_quantize(mats, scale)
+        assert [p.piece_index for p in pieces] == list(range(len(mats)))
+        for piece, want in zip(pieces, expected):
+            assert piece.pixels.shape == want.shape
+            assert piece.pixels.tobytes() == want.tobytes()
+
+
 def test_write_pgm_layout(tmp_path):
     pixels = np.array([[1, 2], [3, 4]], dtype=np.uint8)
     path = tmp_path / "piece.pgm"
