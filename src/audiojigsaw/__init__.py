@@ -17,7 +17,7 @@ from .audio_io import (
     vad_trim,
     write_wav,
 )
-from .estimator import ExtendedSegment, RlsConfig, extend_frame, extend_segment, rls_run
+from .estimator import ExtendedSegment, RlsConfig, extend_frame, extend_segment
 from .evaluation import AccuracyReport, accuracy, sub_block_matches, summarize_accuracy
 from .pipeline import (
     AttackConfig,
@@ -30,13 +30,7 @@ from .pipeline import (
     sweep,
     write_results_csv,
 )
-from .puzzle import (
-    DistanceConfig,
-    arrangement_cost,
-    build_distance_matrix,
-    piece_distance,
-    write_distance_csv,
-)
+from .puzzle import DistanceConfig, arrangement_cost, build_distance_matrix
 from .scrambler import (
     KeySchedule,
     ScramblerConfig,
@@ -54,7 +48,6 @@ from .solver import (
     min_arborescence_weight,
     recover_key,
     solve_bnb,
-    solve_bruteforce,
 )
 from .spectrogram import (
     PieceImage,
@@ -62,8 +55,6 @@ from .spectrogram import (
     hamming_window,
     quantize_frame,
     segmented_spectrogram,
-    stft_magnitude,
-    window_coverage,
     write_pgm,
 )
 
@@ -103,24 +94,18 @@ __all__ = [
     "load_keys",
     "make_key_schedule",
     "min_arborescence_weight",
-    "piece_distance",
     "quantize_frame",
     "read_wav",
     "recover_key",
-    "rls_run",
     "save_keys",
     "scramble",
     "segmented_spectrogram",
     "solve_bnb",
-    "solve_bruteforce",
-    "stft_magnitude",
     "sub_block_matches",
     "summarize_accuracy",
     "sweep",
     "synthesize_speechlike",
     "vad_trim",
-    "window_coverage",
-    "write_distance_csv",
     "write_pgm",
     "write_results_csv",
     "write_wav",

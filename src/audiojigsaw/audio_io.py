@@ -4,14 +4,14 @@ Only PCM 16-bit mono WAV files are accepted.  Other layouts are rejected
 instead of silently converted, so nothing downstream ever sees resampled
 or channel-mixed data.
 
-The synthesizer's per-sample loops (pulse placement and three resonators
-with per-sample coefficients) run on Python floats taken from ``tolist()``
-chunks of 4,096 samples.  Indexing numpy arrays sample by sample costs
-several times more, and Python floats round exactly like float64 scalars,
-so the output is the same bit for bit.  The chunks bound the memory the
-lists take: a whole-signal list holds every sample as a 24-byte float
-object plus a pointer, and took the peak memory growth of a 10 s, 8 kHz
-synthesis from ~8 MB to ~20 MB.
+The synthesizer's per-sample loops (pulse placement, and one pass through
+the tilt pole and three resonators with per-sample coefficients) run on
+Python floats taken from ``tolist()`` chunks of 4,096 samples.  Indexing
+numpy arrays sample by sample costs several times more, and Python floats
+round exactly like float64 scalars, so the output is the same bit for bit.
+The chunks bound the memory the lists take: a whole-signal list holds
+every sample as a 24-byte float object plus a pointer, and took the peak
+memory growth of a 10 s, 8 kHz synthesis from ~8 MB to ~20 MB.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 class WavFormatError(ValueError):
@@ -147,20 +146,28 @@ _RAMP_S = 0.02
 _CHUNK = 4096
 
 
-def _resonate(x: np.ndarray, a1: np.ndarray, a2: float, gain: float) -> np.ndarray:
-    """Two-pole resonator from rest: y[m] = gain x[m] + a1[m] y[m-1] - a2 y[m-2].
+def _shape(excitation: np.ndarray, a1s: list[np.ndarray]) -> np.ndarray:
+    """Tilt pole and the three resonators, from rest, in one pass over the samples.
 
-    The recursion runs on Python floats, which round exactly like numpy
-    float64 scalars, in chunks of ``_CHUNK`` samples written into one
-    preallocated array.
+    Per sample, the tilt t[m] = x[m] + 0.97 t[m-1] (what
+    ``lfilter([1], [1, -0.97], x)`` computes, bit for bit) feeds resonator
+    k, y[m] = gain * in[m] + a1s[k][m] y[m-1] - a2 y[m-2] with gain
+    1 - radius and a2 = radius**2, whose output feeds resonator k + 1.
+    Running the cascade sample by sample does every float operation of
+    filtering stage by stage, in the same order.
     """
-    out = np.empty(x.size)
-    y1 = y2 = 0.0
-    for lo in range(0, x.size, _CHUNK):
+    (ga, a2a), (gb, a2b), (gc, a2c) = ((1.0 - r, r * r) for r in _RESONANCE_RADII)
+    out = np.empty(excitation.size)
+    t = p1 = p2 = q1 = q2 = r1 = r2 = 0.0
+    for lo in range(0, excitation.size, _CHUNK):
+        hi = lo + _CHUNK
         block = []
-        for sample, coef in zip(x[lo : lo + _CHUNK].tolist(), a1[lo : lo + _CHUNK].tolist()):
-            y1, y2 = gain * sample + coef * y1 - a2 * y2, y1
-            block.append(y1)
+        for x, ca, cb, cc in zip(excitation[lo:hi].tolist(), *(a1[lo:hi].tolist() for a1 in a1s)):
+            t = x + 0.97 * t
+            p1, p2 = ga * t + ca * p1 - a2a * p2, p1
+            q1, q2 = gb * p1 + cb * q1 - a2b * q2, q1
+            r1, r2 = gc * q1 + cc * r1 - a2c * r2, r1
+            block.append(r1)
         out[lo : lo + len(block)] = block
     return out
 
@@ -249,13 +256,12 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
     excitation = _PULSE_GAIN * pulses + _ASPIRATION_GAIN * noise
     excitation[~voiced] += _FRICATION_GAIN * noise[~voiced]
 
-    shaped = lfilter([1.0], [1.0, -0.97], excitation)
+    a1s = []
     for (f_lo, f_hi), radius in zip(_RESONANCE_BANDS, _RESONANCE_RADII):
         theta = 2.0 * math.pi * piecewise_track(f_lo, f_hi, times, _FORMANT_SPAN_S) / sample_rate
-        a1 = 2.0 * radius * np.cos(theta)
-        shaped = _resonate(shaped, a1, radius * radius, 1.0 - radius)
+        a1s.append(2.0 * radius * np.cos(theta))
 
-    shaped = shaped * envelope
+    shaped = _shape(excitation, a1s) * envelope
     peak = np.max(np.abs(shaped))
     return AudioBuffer(shaped * (0.9 / peak), sample_rate)
 
@@ -290,11 +296,13 @@ def add_awgn(buf: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
 
     Noise variance is mean(x^2) / 10^(snr_db/10).  Deviates come from
     numpy's PCG64 generator (ziggurat standard-normal transform), so the
-    channel is byte-reproducible for a given seed.  An infinite snr_db
-    returns the input unchanged.
+    channel is byte-reproducible for a given seed.  An snr_db of +inf
+    returns the input unchanged; NaN and -inf are refused.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    if snr_db == math.inf:
         return buf
+    if not math.isfinite(snr_db):
+        raise ValueError("snr_db must be finite or +inf")
     power = float(np.mean(buf.samples**2)) if len(buf) else 0.0
     if power == 0.0:
         raise ValueError("zero-power signal: SNR is undefined")

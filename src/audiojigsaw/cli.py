@@ -28,6 +28,7 @@ from .pipeline import (
 from .puzzle import DistanceConfig
 from .scrambler import (
     ScramblerConfig,
+    _split_frames,
     descramble,
     keyspace_bits,
     load_keys,
@@ -276,16 +277,12 @@ def _cmd_sweep(ns) -> int:
 def _cmd_spectrogram(ns) -> int:
     buf = read_wav(ns.input)
     cfg = _attack_config(ns, buf.sample_rate)
-    geom = cfg.scrambler
-    n_frames = _frames_or_die(buf, geom)
+    _frames_or_die(buf, cfg.scrambler)
+    frames, _ = _split_frames(buf, cfg.scrambler)
     out_dir = Path(ns.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
-    for f in range(n_frames):
-        lo = f * geom.frame_samples
-        segments = buf.samples[lo : lo + geom.frame_samples].reshape(
-            geom.frame_size, geom.segment_samples
-        )
+    for f, segments in enumerate(frames):
         for piece in frame_pieces(segments, cfg):
             write_pgm(piece, out_dir / f"frame{f:03d}_piece{piece.piece_index}.pgm")
             count += 1

@@ -15,7 +15,8 @@ exactly at the minimiser of
 
 (Haykin, *Adaptive Filter Theory*, RLS chapter), so one regularised,
 exponentially weighted least-squares solve replaces the k rank-one updates.
-``rls_run`` keeps the recursion as the reference.
+The recursion itself is kept as the reference in the tests
+(``tests/references.py``).
 
 ``extend_frame`` extends all 2N sides of a frame at once: one stacked
 solve for the weights, then one forecast loop over a ``(taps, 2N)`` work
@@ -26,9 +27,9 @@ tap by tap, from +0.0, in the order of the per-side dot product
 numpy's sequential loop).  So every forecast sample is bit-identical to
 extending the sides one by one.  ``@``, ``einsum`` or a reduce along a
 contiguous axis may use BLAS or pairwise summation instead and move the
-last bits.  A zero-input ``scipy.signal.lfilter`` response is no
-replacement either: it accumulates in another order, and the +/-4 clamp
-acts inside the feedback loop, which a filter run cannot reproduce.
+last bits.  A zero-input IIR filter response is no replacement either: it
+accumulates in another order, and the +/-4 clamp acts inside the feedback
+loop, which a filter run cannot reproduce.
 """
 
 from __future__ import annotations
@@ -69,41 +70,6 @@ class RlsConfig:
             raise ValueError("init_reg must be positive")
 
 
-def _check_signal(x: np.ndarray, taps: int) -> None:
-    if x.ndim != 1 or x.size < taps + 1:
-        raise ValueError(f"need a 1-d signal longer than {taps} samples")
-
-
-def rls_run(signal, cfg: RlsConfig = RlsConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Adapt a one-step-ahead RLS predictor over a signal.
-
-    At step n the regressor is [x(n-1), ..., x(n-order-1)] and the desired
-    response is x(n) itself.  Weights start at zero, P at I / init_reg.
-
-    Returns
-    -------
-    weights : terminal tap vector, length order + 1
-    errors : a-priori prediction errors, one per adapted sample
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    taps = cfg.order + 1
-    _check_signal(x, taps)
-    lam = cfg.forgetting
-    P = np.eye(taps) / cfg.init_reg
-    w = np.zeros(taps)
-    errors = np.empty(x.size - taps)
-    for n in range(taps, x.size):
-        u = x[n - taps : n][::-1]
-        Pu = P @ u
-        gain = Pu / (lam + u @ Pu)
-        err = x[n] - w @ u
-        w = w + gain * err
-        P = (P - np.outer(gain, Pu)) / lam
-        P = 0.5 * (P + P.T)
-        errors[n - taps] = err
-    return w, errors
-
-
 @dataclass(frozen=True)
 class ExtendedSegment:
     """A segment flanked by ``length`` forecast samples on each side.
@@ -124,7 +90,7 @@ class ExtendedSegment:
 
 
 def _terminal_weights(x: np.ndarray, cfg: RlsConfig) -> np.ndarray:
-    """The weights ``rls_run`` ends at on each signal of ``x``, from one stacked solve.
+    """The weights RLS ends at on each signal of ``x``, from one stacked solve.
 
     ``x`` is one signal or a ``(sides, L)`` stack of them, and the result
     holds one tap vector per signal.  Row i of each Hankel system is the
@@ -169,7 +135,8 @@ def extend_frame(segments, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndar
     if length == 0:
         return x.copy()
     taps = cfg.order + 1
-    _check_signal(x[0], taps)
+    if x.shape[1] < taps + 1:
+        raise ValueError(f"need a 1-d signal longer than {taps} samples")
     n = x.shape[0]
     # Row 2i is segment i forward (its future side), row 2i + 1 reversed (its past).
     sides = np.stack([x, x[:, ::-1]], axis=1).reshape(2 * n, -1)

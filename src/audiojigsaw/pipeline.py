@@ -4,8 +4,8 @@ Per frame the attack never touches the key: segments are cut from the
 scrambled signal, optionally continued past their borders by prediction,
 rendered as quantized spectrogram pieces, and reassembled by exact search
 over seam distances.  The permutation that falls out IS the recovered key
-material; the audio estimate is just the cipher segments replayed in the
-recovered order.
+material; the audio estimate is the scrambled signal descrambled with the
+recovered keys.
 """
 
 from __future__ import annotations
@@ -24,8 +24,16 @@ from .audio_io import AudioBuffer, add_awgn, read_wav, synthesize_speechlike, va
 from .estimator import RlsConfig, extend_frame, extend_segment  # noqa: F401
 from .evaluation import accuracy
 from .puzzle import DistanceConfig, build_distance_matrix
-from .scrambler import KeySchedule, ScramblerConfig, invert_permutation, make_key_schedule, scramble
-from .solver import solve_bnb
+from .scrambler import (
+    KeySchedule,
+    ScramblerConfig,
+    _split_frames,
+    descramble,
+    invert_permutation,
+    make_key_schedule,
+    scramble,
+)
+from .solver import recover_key, solve_bnb
 from .spectrogram import PieceImage, StftConfig, quantize_frame, segmented_spectrogram
 
 
@@ -91,39 +99,35 @@ def attack(
 ) -> tuple[AudioBuffer, list[FrameAttackResult]]:
     """Reassemble every full frame of a scrambled signal without its keys.
 
-    Returns the plaintext estimate (trailing partial frame passed through)
-    and one result per frame.  When ``truth`` is supplied each result also
+    Returns the plaintext estimate, which is ``cipher`` descrambled with
+    the keys recovered from each frame's arrangement (trailing partial
+    frame passed through), and one result per frame.  When ``truth`` is supplied each result also
     carries the accuracy of the recovered order against the true one (the
     inverse of that frame's key).
     """
     geom = cfg.scrambler
-    n_frames = len(cipher) // geom.frame_samples
-    if n_frames == 0:
+    frames, _ = _split_frames(cipher, geom)
+    if len(frames) == 0:
         raise ValueError(f"signal of {len(cipher)} samples is shorter than one frame")
     if truth is not None:
         if truth.frame_size != geom.frame_size:
             raise ValueError("truth key width does not match frame_size")
-        if len(truth) < n_frames:
+        if len(truth) < len(frames):
             raise ValueError("truth schedule has fewer keys than frames")
-    estimate = np.array(cipher.samples)  # tail is passed through via the copy
     results = []
-    for f in range(n_frames):
-        lo = f * geom.frame_samples
-        segments = cipher.samples[lo : lo + geom.frame_samples].reshape(
-            geom.frame_size, geom.segment_samples
-        )
+    for f, segments in enumerate(frames):
         began = time.perf_counter()
         try:
             order, cost, nodes = _solve_frame(segments, cfg)
         except ValueError as exc:
             raise ValueError(f"frame {f}: {exc}") from exc
         elapsed_ms = (time.perf_counter() - began) * 1000.0
-        estimate[lo : lo + geom.frame_samples] = segments[np.asarray(order)].reshape(-1)
         score = None
         if truth is not None:
             score = accuracy(order, invert_permutation(truth.keys[f]))
         results.append(FrameAttackResult(f, order, cost, nodes, elapsed_ms, score))
-    return AudioBuffer(estimate, cipher.sample_rate), results
+    keys = KeySchedule(tuple(recover_key(r.arrangement) for r in results))
+    return descramble(cipher, geom, keys), results
 
 
 CSV_HEADER = (

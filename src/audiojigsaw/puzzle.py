@@ -10,8 +10,6 @@ rows vertically in either direction, keeping the best agreement found.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,51 +30,26 @@ class DistanceConfig:
             raise ValueError("max_slide must be non-negative")
 
 
-def piece_distance(left: PieceImage, right: PieceImage, cfg: DistanceConfig = DistanceConfig()) -> float:
-    """RMS pixel gap across the seam if ``right`` is placed after ``left``.
-
-    For each inward offset a in 0..max_penetration, column (last - a) of
-    the left piece meets column a of the right piece; for each vertical
-    slide b in 0..max_slide the overlapping rows (shifting either piece up)
-    are compared.  The minimum RMS difference over all offsets is the
-    distance.  Directed: piece_distance(x, y) != piece_distance(y, x) in
-    general.
-    """
-    li = left.pixels.astype(np.float64)
-    ri = right.pixels.astype(np.float64)
-    if li.shape != ri.shape:
-        raise ValueError("pieces must share their matrix shape")
-    n_rows, n_cols = li.shape
-    if n_cols <= cfg.max_penetration:
-        raise ValueError(
-            f"pieces have {n_cols} columns, need more than max_penetration={cfg.max_penetration}"
-        )
-    best = math.inf
-    for a in range(cfg.max_penetration + 1):
-        col_l = li[:, n_cols - 1 - a]
-        col_r = ri[:, a]
-        for b in range(min(cfg.max_slide, n_rows - 1) + 1):
-            span = n_rows - b
-            diff = col_l[b:] - col_r[:span]
-            best = min(best, math.sqrt(float(diff @ diff) / span))
-            if b:
-                diff = col_l[:span] - col_r[b:]
-                best = min(best, math.sqrt(float(diff @ diff) / span))
-    return best
-
-
 def build_distance_matrix(pieces: Sequence[PieceImage], cfg: DistanceConfig = DistanceConfig()) -> np.ndarray:
     """All ordered pair distances; unusable self-transitions are +inf.
 
-    Computes :func:`piece_distance` for every pair at once.  For each
-    vertical slide and direction, the sum of squared gaps between left
-    column l and right column r over the overlapping rows is expanded as
-    S = sum(l**2) + sum(r**2) - 2 l.r: the squares come from prefix sums of
-    the squared border columns, and l.r for all pairs and inward offsets
-    from one batched matrix product.
+    Entry (i, j) is the RMS pixel gap across the seam if piece j is placed
+    directly after piece i.  For each inward offset a in 0..max_penetration,
+    column (last - a) of piece i meets column a of piece j; for each
+    vertical slide b in 0..max_slide the overlapping rows (shifting either
+    piece up by b) are compared.  The minimum RMS difference over all
+    offsets and slides is the distance.  The matrix is directed: (i, j) and
+    (j, i) differ in general.
 
-    The result is bit-identical to calling :func:`piece_distance` pair by
-    pair.  Pixels are 8-bit, so every product, partial sum and S itself is
+    All pairs are computed at once.  For each vertical slide and direction,
+    the sum of squared gaps between left column l and right column r over
+    the overlapping rows is expanded as S = sum(l**2) + sum(r**2) - 2 l.r:
+    the squares come from prefix sums of the squared border columns, and
+    l.r for all pairs and inward offsets from one batched matrix product.
+
+    The result is bit-identical to computing each pair on its own, as the
+    reference in the tests (``tests/references.py``) does.  Pixels are
+    8-bit, so every product, partial sum and S itself is
     an integer of at most 255**2 * rows, far below 2**53: float64 holds all
     of them exactly, in any summation order.  Division and square root are
     correctly rounded and monotone, so taking the minimum before or after
@@ -126,12 +99,3 @@ def arrangement_cost(d: np.ndarray, arrangement: Sequence[int]) -> float:
     for i in range(1, n):
         cost += float(d[arrangement[i - 1], arrangement[i]])
     return cost
-
-
-def write_distance_csv(d: np.ndarray, path) -> None:
-    """Dump the matrix for eyeballing, one row per source piece."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"to_{j}" for j in range(d.shape[1])])
-        for row in d:
-            writer.writerow([f"{v:.6f}" if math.isfinite(v) else "inf" for v in row])

@@ -18,8 +18,8 @@ Orders, costs and node counts are those of a search that computes the
 full bound for every child.
 
 Cost ties between arrangements are broken toward the lexicographically
-smallest order, in both the exhaustive oracle and the search, so their
-results are directly comparable.  The search also uses that tie-break to
+smallest order, in the search and in the exhaustive oracle in the tests,
+so their results are directly comparable.  The search also uses that tie-break to
 prune: a partial order whose bound equals the incumbent's cost, and whose
 prefix sorts after the incumbent's prefix of the same length, can only
 complete into arrangements that cost at least as much and sort later, so
@@ -44,14 +44,12 @@ to a search that runs on numpy.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .puzzle import arrangement_cost
 from .scrambler import invert_permutation
 
 
@@ -62,7 +60,6 @@ class SolveReport:
     order: tuple[int, ...]
     cost: float
     nodes_expanded: int
-    oracle_checked: bool = False
 
 
 def _validated(d) -> np.ndarray:
@@ -74,41 +71,6 @@ def _validated(d) -> np.ndarray:
     if np.isnan(d).any():
         raise ValueError("distance matrix must not contain NaN")
     return d
-
-_ORACLE_CHUNK = 40320
-
-
-def solve_bruteforce(d, max_pieces: int = 10) -> SolveReport:
-    """Enumerate every arrangement; ground truth for validating the search.
-
-    Permutations stream in lexicographic order and ties keep the earliest,
-    so equal-cost optima resolve to the lexicographically smallest order
-    (the identity when every arrangement costs +inf).  Costs are summed
-    left to right from 0.0, seam by seam, exactly as the search and
-    :func:`~audiojigsaw.puzzle.arrangement_cost` sum them.  Refuses more
-    than ``max_pieces`` pieces (the stream has n! entries).
-    """
-    d = _validated(d)
-    n = d.shape[0]
-    if n > max_pieces:
-        raise ValueError(f"{n} pieces exceed the exhaustive limit of {max_pieces}")
-    best_order = None
-    best_cost = np.inf
-    examined = 0
-    stream = itertools.permutations(range(n))
-    while True:
-        chunk = np.array(list(itertools.islice(stream, _ORACLE_CHUNK)), dtype=np.intp)
-        if chunk.size == 0:
-            break
-        examined += chunk.shape[0]
-        costs = np.zeros(chunk.shape[0])
-        for k in range(n - 1):
-            costs = costs + d[chunk[:, k], chunk[:, k + 1]]
-        pick = int(np.argmin(costs))
-        if best_order is None or costs[pick] < best_cost:
-            best_cost = float(costs[pick])
-            best_order = tuple(int(v) for v in chunk[pick])
-    return SolveReport(best_order, arrangement_cost(d, best_order), examined, oracle_checked=True)
 
 
 def greedy_upper_bound(d) -> SolveReport:

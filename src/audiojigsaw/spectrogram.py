@@ -48,52 +48,16 @@ def hamming_window(size: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (size - 1))
 
 
-def stft_magnitude(samples, cfg: StftConfig = StftConfig()) -> np.ndarray:
-    """Magnitude spectrogram, shape (fft_size/2, n_columns).
-
-    Column m holds |FFT| of the windowed slice starting at sample
-    m * hop (0-based); n_columns = floor((len - overlap) / hop).  Row r is
-    frequency bin r+1: the DC bin is dropped, bins 1..fft_size/2 kept.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("samples must be one-dimensional")
-    if x.size < cfg.window_size:
-        raise ValueError(
-            f"sequence of {x.size} samples is shorter than one {cfg.window_size}-sample window"
-        )
-    n_cols = (x.size - cfg.overlap) // cfg.hop
-    slices = np.lib.stride_tricks.sliding_window_view(x, cfg.window_size)[:: cfg.hop][:n_cols]
-    spectra = np.fft.rfft(slices * hamming_window(cfg.window_size), n=cfg.fft_size, axis=1)
-    return np.abs(spectra[:, 1 : cfg.fft_size // 2 + 1]).T
-
-
-def window_coverage(sample_pos: int, segment_len: int, window_size: int) -> int:
-    """How many maximally-overlapped analysis windows contain a sample.
-
-    With hop 1, a sample at 1-based position j of a segment of length L is
-    seen by j windows near the left border, window_size windows in the
-    interior, and L - j + 1 near the right border.  Border samples
-    therefore influence fewer spectrogram columns, which is exactly the
-    artifact predictive extension repairs.
-    """
-    if not 1 <= sample_pos <= segment_len:
-        raise ValueError("sample_pos must lie in 1..segment_len")
-    if window_size > segment_len:
-        raise ValueError("window longer than segment")
-    if sample_pos < window_size:
-        return sample_pos
-    if sample_pos <= segment_len - window_size:
-        return window_size
-    return segment_len - sample_pos + 1
-
-
 def segmented_spectrogram(segments: Sequence, cfg: StftConfig = StftConfig()) -> list[np.ndarray]:
     """One magnitude matrix per segment, each windowed strictly inside it.
 
-    A frame's segments share their length, so the whole frame goes through
-    one windowing and one FFT call; each matrix is bit-identical to
-    :func:`stft_magnitude` of its segment.
+    Matrix i has shape (fft_size/2, n_columns): column m holds |FFT| of
+    segment i's Hamming-windowed slice starting at sample m * hop (0-based),
+    zero-padded to fft_size, and n_columns = floor((L - overlap) / hop).
+    Row r is frequency bin r+1: the DC bin is dropped, bins 1..fft_size/2
+    kept.  A frame's segments share their length, so the whole frame goes
+    through one windowing and one FFT call; each matrix is bit-identical to
+    the one-segment reference in the tests (``tests/references.py``).
     """
     if not len(segments):
         raise ValueError("no segments given")

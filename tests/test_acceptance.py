@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from audiojigsaw.audio_io import AudioBuffer, synthesize_speechlike
-from audiojigsaw.estimator import RlsConfig, rls_run
+from audiojigsaw.estimator import RlsConfig
 from audiojigsaw.evaluation import accuracy
 from audiojigsaw.pipeline import AttackConfig, SweepSpec, attack, sweep
 from audiojigsaw.scrambler import (
@@ -26,8 +26,9 @@ from audiojigsaw.scrambler import (
     make_key_schedule,
     scramble,
 )
-from audiojigsaw.solver import solve_bnb, solve_bruteforce
-from audiojigsaw.spectrogram import StftConfig, stft_magnitude, window_coverage
+from audiojigsaw.solver import solve_bnb
+from audiojigsaw.spectrogram import StftConfig
+from references import rls_run, solve_bruteforce, stft_magnitude, window_coverage
 
 
 def _report(capsys, name: str, ok: bool, detail: str = "") -> None:

@@ -152,6 +152,13 @@ def test_awgn_deterministic_and_infinite_snr_is_identity():
         add_awgn(AudioBuffer(np.zeros(10), 8000), 20.0, seed=0)
 
 
+@pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
+def test_awgn_refuses_nan_and_negative_infinite_snr(snr_db):
+    buf = AudioBuffer(np.sin(np.arange(1000) * 0.1), 8000)
+    with pytest.raises(ValueError, match="snr_db must be finite or \\+inf"):
+        add_awgn(buf, snr_db, seed=5)
+
+
 def test_synthesize_deterministic():
     a = synthesize_speechlike(1.0, seed=42)
     b = synthesize_speechlike(1.0, seed=42)

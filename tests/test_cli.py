@@ -87,6 +87,14 @@ def test_sweep_subcommand_writes_csv(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("snr", ["-inf", "nan"])
+def test_sweep_non_finite_snr_is_data_error(tmp_path, capsys, snr):
+    code = main(["sweep", "--csv", str(tmp_path / "sweep.csv"), f"--snr-db={snr}",
+                 "--noise-at", "channel", "--duration", "0.35"])
+    assert code == 2
+    assert "error: snr_db must be finite or +inf" in capsys.readouterr().err
+
+
 def test_spectrogram_subcommand_writes_pgm(tmp_path, plain_wav):
     out_dir = tmp_path / "pieces"
     code = main(["spectrogram", "--input", str(plain_wav), "--output", str(out_dir),

@@ -1,7 +1,9 @@
 """Smoke test: every demo script runs to completion on small arguments.
 
 All demos run in one child interpreter, each as ``__main__`` with its own
-``sys.argv``, so the test pays for importing numpy and scipy only once.
+``sys.argv``, so the test pays for importing numpy only once.  scipy is
+made unimportable in that interpreter first, so the demos and the CLI
+module prove that the package runs on numpy alone.
 """
 
 import json
@@ -30,9 +32,13 @@ DEMOS = {
     ),
 }
 
-# Runs each script as __main__ and prints {script: [failed, stdout, traceback]}.
+# Blocks scipy, imports the CLI module, runs each script as __main__ and
+# prints {script: [failed, stdout, traceback]}.
 _DRIVER = """
-import contextlib, io, json, runpy, sys, traceback
+import sys
+sys.modules["scipy"] = None
+import contextlib, io, json, runpy, traceback
+import audiojigsaw.cli
 results = {}
 for script, argv in json.loads(sys.argv[1]).items():
     out = io.StringIO()

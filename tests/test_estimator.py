@@ -15,10 +15,10 @@ from audiojigsaw.estimator import (
     _terminal_weights,
     extend_frame,
     extend_segment,
-    rls_run,
 )
 from audiojigsaw.pipeline import AttackConfig, attack
 from audiojigsaw.scrambler import ScramblerConfig
+from references import rls_run
 
 
 def test_rls_config_validation():

