@@ -51,7 +51,7 @@ def main():
     elapsed = time.perf_counter() - began
 
     truth_order = invert_permutation(true_key)
-    print(f"piece image size     {pieces[0].pixels.shape[0]} x {pieces[0].pixels.shape[1]}")
+    print(f"piece image size     {pieces.shape[1]} x {pieces.shape[2]}")
     with np.printoptions(precision=1, suppress=True, linewidth=120):
         print("seam distances (row follows to column):")
         print(d)

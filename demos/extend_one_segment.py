@@ -34,7 +34,7 @@ def main():
 
     ext = extend_segment(x[a:b], l, RlsConfig(args.order, args.forgetting))
     past_true, future_true = x[a - l : a], x[b : b + l]
-    past_hat, future_hat = ext.samples[:l], ext.samples[-l:]
+    past_hat, future_hat = ext[:l], ext[-l:]
 
     print(f"segment [{a}:{b}), {l} forecast samples per side")
     print(f"segment rms                 {rms(x[a:b]):.4f}")

@@ -35,13 +35,12 @@ def main():
 
     raw = frame_pieces(segments, AttackConfig(scrambler=geom, use_estimation=False))
     extended = frame_pieces(segments, AttackConfig(scrambler=geom))
-    for piece in raw:
-        write_pgm(piece, out / f"raw_piece{piece.piece_index}.pgm")
-    for piece in extended:
-        write_pgm(piece, out / f"extended_piece{piece.piece_index}.pgm")
+    for k in range(geom.frame_size):
+        write_pgm(raw[k], out / f"raw_piece{k}.pgm")
+        write_pgm(extended[k], out / f"extended_piece{k}.pgm")
 
-    print(f"raw pieces      {raw[0].pixels.shape[0]} x {raw[0].pixels.shape[1]} pixels")
-    print(f"extended pieces {extended[0].pixels.shape[0]} x {extended[0].pixels.shape[1]} pixels")
+    print(f"raw pieces      {raw.shape[1]} x {raw.shape[2]} pixels")
+    print(f"extended pieces {extended.shape[1]} x {extended.shape[2]} pixels")
     print(f"{2 * geom.frame_size} PGM files in {out}/")
 
 

@@ -17,7 +17,7 @@ from .audio_io import (
     vad_trim,
     write_wav,
 )
-from .estimator import ExtendedSegment, RlsConfig, extend_frame, extend_segment
+from .estimator import RlsConfig, extend_frame, extend_segment
 from .evaluation import AccuracyReport, accuracy, sub_block_matches, summarize_accuracy
 from .pipeline import (
     AttackConfig,
@@ -50,7 +50,6 @@ from .solver import (
     solve_bnb,
 )
 from .spectrogram import (
-    PieceImage,
     StftConfig,
     hamming_window,
     quantize_frame,
@@ -66,10 +65,8 @@ __all__ = [
     "AudioBuffer",
     "CSV_HEADER",
     "DistanceConfig",
-    "ExtendedSegment",
     "FrameAttackResult",
     "KeySchedule",
-    "PieceImage",
     "RlsConfig",
     "ScramblerConfig",
     "SolveReport",

@@ -283,8 +283,8 @@ def _cmd_spectrogram(ns) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
     for f, segments in enumerate(frames):
-        for piece in frame_pieces(segments, cfg):
-            write_pgm(piece, out_dir / f"frame{f:03d}_piece{piece.piece_index}.pgm")
+        for k, piece in enumerate(frame_pieces(segments, cfg)):
+            write_pgm(piece, out_dir / f"frame{f:03d}_piece{k}.pgm")
             count += 1
     print(f"wrote {count} piece images -> {out_dir}")
     return 0

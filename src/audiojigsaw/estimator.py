@@ -70,25 +70,6 @@ class RlsConfig:
             raise ValueError("init_reg must be positive")
 
 
-@dataclass(frozen=True)
-class ExtendedSegment:
-    """A segment flanked by ``length`` forecast samples on each side.
-
-    ``samples[length : len(samples) - length]`` is the original segment,
-    bit for bit.
-    """
-
-    samples: np.ndarray
-    length: int
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-        if self.length < 0 or 2 * self.length > samples.size:
-            raise ValueError("samples must hold both length-sample flanks")
-
-
 def _terminal_weights(x: np.ndarray, cfg: RlsConfig) -> np.ndarray:
     """The weights RLS ends at on each signal of ``x``, from one stacked solve.
 
@@ -155,13 +136,14 @@ def extend_frame(segments, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndar
     return np.concatenate([forecast[1::2, ::-1], x, forecast[0::2]], axis=1)
 
 
-def extend_segment(segment, length: int, cfg: RlsConfig = RlsConfig()) -> ExtendedSegment:
+def extend_segment(segment, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndarray:
     """Continue one segment ``length`` samples into the past and the future.
 
     The one-segment case of :func:`extend_frame`, with the same forecasts
-    and clamp warnings.
+    and clamp warnings: the ``(L + 2 length,)`` result holds the segment
+    bit for bit at ``[length : length + L]``.
     """
     x = np.asarray(segment, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("segment must be one-dimensional")
-    return ExtendedSegment(extend_frame(x[None], length, cfg)[0], length)
+    return extend_frame(x[None], length, cfg)[0]

@@ -34,7 +34,7 @@ from .scrambler import (
     scramble,
 )
 from .solver import recover_key, solve_bnb
-from .spectrogram import PieceImage, StftConfig, quantize_frame, segmented_spectrogram
+from .spectrogram import StftConfig, quantize_frame, segmented_spectrogram
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,6 @@ class AttackConfig:
     rls: RlsConfig = RlsConfig()
     distance: DistanceConfig = DistanceConfig()
     use_estimation: bool = True
-    quant_scale: str = "db"
-    extension: int | None = None  # forecast samples per side; None = window_size - 1
-
-    def __post_init__(self):
-        if self.quant_scale not in ("db", "linear"):
-            raise ValueError("quant_scale must be 'db' or 'linear'")
-        if self.extension is not None and self.extension < 0:
-            raise ValueError("extension must be non-negative")
-
-    @property
-    def extension_samples(self) -> int:
-        return self.stft.window_size - 1 if self.extension is None else self.extension
 
 
 @dataclass(frozen=True)
@@ -70,17 +58,18 @@ class FrameAttackResult:
     accuracy: float | None = None
 
 
-def frame_pieces(segments: np.ndarray, cfg: AttackConfig) -> list[PieceImage]:
-    """Quantized spectrogram pieces of one frame's ``(N, L)`` segments.
+def frame_pieces(segments: np.ndarray, cfg: AttackConfig) -> np.ndarray:
+    """Quantized spectrogram pieces of one frame's ``(N, L)`` segments, as one
+    ``(N, fft_size/2, cols)`` uint8 array.
 
     With ``cfg.use_estimation`` every segment is first extended by
-    ``cfg.extension_samples`` forecast samples per side.  The stages are
-    looked up as this module's globals at call time, so a tracer that
-    rebinds them here sees every call.
+    ``window_size - 1`` forecast samples per side.  The stages are looked
+    up as this module's globals at call time, so a tracer that rebinds them
+    here sees every call.
     """
     if cfg.use_estimation:
-        segments = extend_frame(segments, cfg.extension_samples, cfg.rls)
-    return quantize_frame(segmented_spectrogram(segments, cfg.stft), cfg.quant_scale)
+        segments = extend_frame(segments, cfg.stft.window_size - 1, cfg.rls)
+    return quantize_frame(segmented_spectrogram(segments, cfg.stft))
 
 
 def _solve_frame(segments: np.ndarray, cfg: AttackConfig):
@@ -206,7 +195,6 @@ class SweepSpec:
     stft: StftConfig = StftConfig()
     rls: RlsConfig = RlsConfig()
     distance: DistanceConfig = DistanceConfig()
-    quant_scale: str = "db"
 
     def __post_init__(self):
         if not self.frame_sizes or not self.segment_ms_values:
@@ -215,6 +203,8 @@ class SweepSpec:
             raise ValueError("noise_at must be 'source', 'channel' or 'none'")
         if self.noise_at != "none" and not self.snr_dbs:
             raise ValueError("noisy sweep needs at least one SNR value")
+        if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_grid):
+            raise ValueError("snr_db must be finite or +inf")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
@@ -265,7 +255,6 @@ def sweep(spec: SweepSpec, csv_path) -> None:
                     rls=spec.rls,
                     distance=spec.distance,
                     use_estimation=use_estimation,
-                    quant_scale=spec.quant_scale,
                 )
                 _, results = attack(cipher, cfg, truth=keys)
                 rows.extend(

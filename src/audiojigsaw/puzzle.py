@@ -15,8 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectrogram import PieceImage
-
 
 @dataclass(frozen=True)
 class DistanceConfig:
@@ -30,11 +28,12 @@ class DistanceConfig:
             raise ValueError("max_slide must be non-negative")
 
 
-def build_distance_matrix(pieces: Sequence[PieceImage], cfg: DistanceConfig = DistanceConfig()) -> np.ndarray:
-    """All ordered pair distances; unusable self-transitions are +inf.
+def build_distance_matrix(pieces: np.ndarray, cfg: DistanceConfig = DistanceConfig()) -> np.ndarray:
+    """All ordered pair distances of a frame's pieces; unusable self-transitions are +inf.
 
-    Entry (i, j) is the RMS pixel gap across the seam if piece j is placed
-    directly after piece i.  For each inward offset a in 0..max_penetration,
+    ``pieces`` is the frame's ``(N, rows, cols)`` uint8 array.  Entry (i, j)
+    is the RMS pixel gap across the seam if piece j is placed directly
+    after piece i.  For each inward offset a in 0..max_penetration,
     column (last - a) of piece i meets column a of piece j; for each
     vertical slide b in 0..max_slide the overlapping rows (shifting either
     piece up by b) are compared.  The minimum RMS difference over all
@@ -55,18 +54,17 @@ def build_distance_matrix(pieces: Sequence[PieceImage], cfg: DistanceConfig = Di
     correctly rounded and monotone, so taking the minimum before or after
     them picks the same value.
     """
-    n = len(pieces)
+    pieces = np.asarray(pieces)
+    if pieces.ndim != 3 or pieces.dtype != np.uint8:
+        raise ValueError("pieces must be a (pieces, rows, cols) uint8 array")
+    n, n_rows, n_cols = pieces.shape
     if n < 2:
         raise ValueError("need at least 2 pieces")
-    shape = pieces[0].pixels.shape
-    if any(p.pixels.shape != shape for p in pieces):
-        raise ValueError("pieces must share their matrix shape")
-    n_rows, n_cols = shape
     if n_cols <= cfg.max_penetration:
         raise ValueError(
             f"pieces have {n_cols} columns, need more than max_penetration={cfg.max_penetration}"
         )
-    stack = np.stack([p.pixels for p in pieces]).astype(np.float64)
+    stack = pieces.astype(np.float64)
     offsets = np.arange(cfg.max_penetration + 1)
     # (offset, piece, row): column last - a of each left piece, column a of each right piece.
     lefts = stack[:, :, n_cols - 1 - offsets].transpose(2, 0, 1)

@@ -111,27 +111,30 @@ def _check_schedule(ks: KeySchedule, cfg: ScramblerConfig, n_frames: int) -> Non
         raise ValueError(f"key schedule has {len(ks)} keys but {n_frames} frames need one")
 
 
+def _gather_segments(
+    buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule, keys: Sequence[Sequence[int]]
+) -> AudioBuffer:
+    """Output segment i of full frame f is its input segment keys[f][i], all
+    frames in one gather; a trailing partial frame passes through untouched."""
+    frames, tail = _split_frames(buf, cfg)
+    n_frames = len(frames)
+    _check_schedule(ks, cfg, n_frames)
+    index = np.array(keys[:n_frames], dtype=np.intp).reshape(n_frames, cfg.frame_size)
+    out = frames[np.arange(n_frames)[:, None], index]
+    return AudioBuffer(np.concatenate([out.reshape(-1), tail]), buf.sample_rate)
+
+
 def scramble(buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule) -> AudioBuffer:
     """Permute segments inside each full frame: output segment i is input segment key[i].
 
     A trailing partial frame passes through untouched.
     """
-    frames, tail = _split_frames(buf, cfg)
-    _check_schedule(ks, cfg, len(frames))
-    out = np.empty_like(frames)
-    for f in range(len(frames)):
-        out[f] = frames[f][list(ks.keys[f])]
-    return AudioBuffer(np.concatenate([out.reshape(-1), tail]), buf.sample_rate)
+    return _gather_segments(buf, cfg, ks, ks.keys)
 
 
 def descramble(buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule) -> AudioBuffer:
     """Invert :func:`scramble`: output segment key[i] receives input segment i."""
-    frames, tail = _split_frames(buf, cfg)
-    _check_schedule(ks, cfg, len(frames))
-    out = np.empty_like(frames)
-    for f in range(len(frames)):
-        out[f] = frames[f][list(invert_permutation(ks.keys[f]))]
-    return AudioBuffer(np.concatenate([out.reshape(-1), tail]), buf.sample_rate)
+    return _gather_segments(buf, cfg, ks, [invert_permutation(key) for key in ks.keys])
 
 
 def keyspace_bits(minutes: float, segment_ms: float, frame_size: int) -> int:

@@ -237,7 +237,6 @@ def _rounding_slack(d: np.ndarray) -> float:
 
 def solve_bnb(
     d,
-    initial: SolveReport | None = None,
     frontier_cap: int = 1_000_000,
     on_expand: Callable[[tuple[int, ...], float, float], None] | None = None,
 ) -> SolveReport:
@@ -247,7 +246,8 @@ def solve_bnb(
     the minimum spanning arborescence over its endpoint and the unplaced
     pieces, rooted at the endpoint.  The frontier pops the smallest bound
     first (ties: deeper node, then lexicographically smaller prefix).  The
-    root branches over every possible starting piece.
+    root branches over every possible starting piece, and the incumbent
+    starts as the chain of :func:`greedy_upper_bound`.
 
     A node is pruned when its bound exceeds the incumbent's cost, or
     equals it while its prefix sorts after the incumbent's prefix of the
@@ -279,7 +279,7 @@ def solve_bnb(
     d = _validated(d)
     n = d.shape[0]
     rows = d.tolist()
-    incumbent = initial if initial is not None else greedy_upper_bound(d)
+    incumbent = greedy_upper_bound(d)
     inc_order = tuple(incumbent.order)
     inc_cost = float(incumbent.cost)
     gamma = _rounding_slack(d)

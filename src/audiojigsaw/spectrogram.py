@@ -48,16 +48,17 @@ def hamming_window(size: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (size - 1))
 
 
-def segmented_spectrogram(segments: Sequence, cfg: StftConfig = StftConfig()) -> list[np.ndarray]:
-    """One magnitude matrix per segment, each windowed strictly inside it.
+def segmented_spectrogram(segments: Sequence, cfg: StftConfig = StftConfig()) -> np.ndarray:
+    """The ``(N, fft_size/2, n_columns)`` magnitude spectra of a frame's N segments.
 
-    Matrix i has shape (fft_size/2, n_columns): column m holds |FFT| of
-    segment i's Hamming-windowed slice starting at sample m * hop (0-based),
-    zero-padded to fft_size, and n_columns = floor((L - overlap) / hop).
-    Row r is frequency bin r+1: the DC bin is dropped, bins 1..fft_size/2
-    kept.  A frame's segments share their length, so the whole frame goes
-    through one windowing and one FFT call; each matrix is bit-identical to
-    the one-segment reference in the tests (``tests/references.py``).
+    Matrix i is segment i's spectrogram, windowed strictly inside it:
+    column m holds |FFT| of its Hamming-windowed slice starting at sample
+    m * hop (0-based), zero-padded to fft_size, and n_columns =
+    floor((L - overlap) / hop).  Row r is frequency bin r+1: the DC bin is
+    dropped, bins 1..fft_size/2 kept.  A frame's segments share their
+    length, so the whole frame goes through one windowing and one FFT call;
+    each matrix is bit-identical to the one-segment reference in the tests
+    (``tests/references.py``).
     """
     if not len(segments):
         raise ValueError("no segments given")
@@ -75,62 +76,32 @@ def segmented_spectrogram(segments: Sequence, cfg: StftConfig = StftConfig()) ->
     windows = np.lib.stride_tricks.sliding_window_view(x, cfg.window_size, axis=1)
     slices = windows[:, :: cfg.hop][:, :n_cols]
     spectra = np.fft.rfft(slices * hamming_window(cfg.window_size), n=cfg.fft_size, axis=2)
-    return list(np.abs(spectra[:, :, 1 : cfg.fft_size // 2 + 1]).transpose(0, 2, 1))
+    return np.abs(spectra[:, :, 1 : cfg.fft_size // 2 + 1]).transpose(0, 2, 1)
 
 
-@dataclass(frozen=True)
-class PieceImage:
-    """8-bit puzzle piece: quantized magnitude matrix plus its position in the frame."""
+def quantize_frame(spectra) -> np.ndarray:
+    """Map a frame's ``(N, rows, cols)`` magnitude spectra jointly onto 0..255.
 
-    pixels: np.ndarray
-    piece_index: int
-
-    def __post_init__(self):
-        pixels = np.asarray(self.pixels)
-        if pixels.ndim != 2:
-            raise ValueError("pixels must be a 2-d matrix")
-        if pixels.dtype != np.uint8:
-            raise ValueError("pixels must be uint8")
-        if self.piece_index < 0:
-            raise ValueError("piece_index must be non-negative")
-        pixels = pixels.copy()
-        pixels.flags.writeable = False
-        object.__setattr__(self, "pixels", pixels)
-
-
-def quantize_frame(matrices: Sequence[np.ndarray], scale: str = "db") -> list[PieceImage]:
-    """Map a frame's magnitude matrices jointly onto 0..255.
-
-    With the default ``db`` scale each value v becomes 20*log10(v + 1e-10)
-    first.  One (lo, hi) range is taken over ALL matrices of the frame so
-    grey levels stay comparable across pieces; lo maps to 0, hi to 255,
-    rounding half-up.  A flat frame (hi == lo) quantizes to all zeros.  The
-    matrices are placed side by side and go through one elementwise pass,
-    then are split back, so they may differ in column count.
+    Each value v becomes 20*log10(v + 1e-10) dB first.  One (lo, hi) range
+    is taken over the whole frame so grey levels stay comparable across
+    pieces; lo maps to 0, hi to 255, rounding half-up.  A flat frame
+    (hi == lo) quantizes to all zeros.  Returns the frame's pieces as one
+    uint8 array of the same shape.
     """
-    if not len(matrices):
-        raise ValueError("no matrices given")
-    if scale not in ("db", "linear"):
-        raise ValueError(f"scale must be 'db' or 'linear', got {scale!r}")
-    rows = matrices[0].shape[0]
-    if any(m.shape[0] != rows for m in matrices):
-        raise ValueError("matrices of one frame must share their row count")
-    values = np.concatenate(matrices, axis=1, dtype=np.float64)
-    if scale == "db":
-        values = 20.0 * np.log10(values + 1e-10)
+    values = np.asarray(spectra, dtype=np.float64)
+    if values.ndim != 3 or values.size == 0:
+        raise ValueError("spectra must be a non-empty (pieces, rows, cols) array")
+    values = 20.0 * np.log10(values + 1e-10)
     lo, hi = values.min(), values.max()
     if hi == lo:
-        pixels = np.zeros(values.shape, dtype=np.uint8)
-    else:
-        scaled = 255.0 * (values - lo) / (hi - lo)
-        pixels = np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
-    cuts = np.cumsum([m.shape[1] for m in matrices[:-1]], dtype=np.intp)
-    return [PieceImage(p, i) for i, p in enumerate(np.split(pixels, cuts, axis=1))]
+        return np.zeros(values.shape, dtype=np.uint8)
+    scaled = 255.0 * (values - lo) / (hi - lo)
+    return np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
 
 
-def write_pgm(piece, path) -> None:
-    """Dump a piece (or raw uint8 matrix) as binary PGM, low frequencies at the bottom."""
-    pixels = piece.pixels if isinstance(piece, PieceImage) else np.asarray(piece)
+def write_pgm(pixels: np.ndarray, path) -> None:
+    """Dump one piece, a 2-d uint8 matrix, as binary PGM, low frequencies at the bottom."""
+    pixels = np.asarray(pixels)
     if pixels.dtype != np.uint8 or pixels.ndim != 2:
         raise ValueError("PGM export needs a 2-d uint8 matrix")
     rows, cols = pixels.shape

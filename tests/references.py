@@ -2,8 +2,9 @@
 
 The attack never calls these.  Each one states a stage's definition as
 plainly as possible: the RLS recursion, the STFT of one signal, the
-analysis-window coverage of a sample, the seam distance of one pair of
-pieces, and the exhaustive frame solve.
+analysis-window coverage of a sample, the quantization of a frame piece by
+piece, the seam distance of one pair of pieces, and the exhaustive frame
+solve.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from audiojigsaw.estimator import RlsConfig
 from audiojigsaw.puzzle import DistanceConfig, arrangement_cost
 from audiojigsaw.solver import SolveReport, _validated
-from audiojigsaw.spectrogram import PieceImage, StftConfig, hamming_window
+from audiojigsaw.spectrogram import StftConfig, hamming_window
 
 
 def rls_run(signal, cfg: RlsConfig = RlsConfig()) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +91,30 @@ def window_coverage(sample_pos: int, segment_len: int, window_size: int) -> int:
     return segment_len - sample_pos + 1
 
 
-def piece_distance(left: PieceImage, right: PieceImage, cfg: DistanceConfig = DistanceConfig()) -> float:
-    """RMS pixel gap across the seam if ``right`` is placed after ``left``.
+def quantize_pieces(matrices) -> list[np.ndarray]:
+    """Quantize a frame's magnitude matrices one at a time against the frame's range.
+
+    Each value v becomes 20*log10(v + 1e-10) dB; the lowest dB value of the
+    whole frame maps to 0 and the highest to 255, rounding half up.  A flat
+    frame quantizes to all zeros.
+    """
+    values = [20.0 * np.log10(np.asarray(m, dtype=np.float64) + 1e-10) for m in matrices]
+    lo = min(float(v.min()) for v in values)
+    hi = max(float(v.max()) for v in values)
+    pieces = []
+    for v in values:
+        if hi == lo:
+            pieces.append(np.zeros(v.shape, dtype=np.uint8))
+        else:
+            scaled = 255.0 * (v - lo) / (hi - lo)
+            pieces.append(np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8))
+    return pieces
+
+
+def piece_distance(left, right, cfg: DistanceConfig = DistanceConfig()) -> float:
+    """RMS pixel gap across the seam if piece ``right`` is placed after piece ``left``.
+
+    Each piece is a 2-d pixel matrix.
 
     For each inward offset a in 0..max_penetration, column (last - a) of
     the left piece meets column a of the right piece; for each vertical
@@ -100,8 +123,8 @@ def piece_distance(left: PieceImage, right: PieceImage, cfg: DistanceConfig = Di
     distance.  Directed: piece_distance(x, y) != piece_distance(y, x) in
     general.
     """
-    li = left.pixels.astype(np.float64)
-    ri = right.pixels.astype(np.float64)
+    li = np.asarray(left, dtype=np.float64)
+    ri = np.asarray(right, dtype=np.float64)
     if li.shape != ri.shape:
         raise ValueError("pieces must share their matrix shape")
     n_rows, n_cols = li.shape

@@ -5,7 +5,9 @@ import pytest
 
 from audiojigsaw.audio_io import AudioBuffer, read_wav, write_wav, synthesize_speechlike
 from audiojigsaw.cli import main
-from audiojigsaw.scrambler import load_keys
+from audiojigsaw.pipeline import AttackConfig, frame_pieces
+from audiojigsaw.scrambler import ScramblerConfig, load_keys
+from audiojigsaw.spectrogram import write_pgm
 
 
 @pytest.fixture
@@ -100,10 +102,15 @@ def test_spectrogram_subcommand_writes_pgm(tmp_path, plain_wav):
     code = main(["spectrogram", "--input", str(plain_wav), "--output", str(out_dir),
                  "--no-rls", "--frame-size", "4"])
     assert code == 0
-    files = sorted(out_dir.glob("*.pgm"))
     # one second of 4-segment frames at 40 ms: 6 frames, 4 pieces each
-    assert len(files) == 24
-    assert files[0].read_bytes().startswith(b"P5\n")
+    names = sorted(path.name for path in out_dir.glob("*.pgm"))
+    assert names == [f"frame{f:03d}_piece{k}.pgm" for f in range(6) for k in range(4)]
+    # piece k of frame f is slice k of that frame's frame_pieces array
+    geom = ScramblerConfig(frame_size=4)
+    segments = read_wav(plain_wav).samples[2 * geom.frame_samples : 3 * geom.frame_samples]
+    pieces = frame_pieces(segments.reshape(4, -1), AttackConfig(scrambler=geom, use_estimation=False))
+    write_pgm(pieces[3], tmp_path / "want.pgm")
+    assert (out_dir / "frame002_piece3.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -9,13 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from audiojigsaw.audio_io import synthesize_speechlike
-from audiojigsaw.estimator import (
-    ExtendedSegment,
-    RlsConfig,
-    _terminal_weights,
-    extend_frame,
-    extend_segment,
-)
+from audiojigsaw.estimator import RlsConfig, _terminal_weights, extend_frame, extend_segment
 from audiojigsaw.pipeline import AttackConfig, attack
 from audiojigsaw.scrambler import ScramblerConfig
 from references import rls_run
@@ -70,16 +64,13 @@ def test_extend_preserves_core_bit_exactly():
     rng = np.random.Generator(np.random.PCG64(21))
     segment = rng.standard_normal(320)
     ext = extend_segment(segment, 59)
-    assert len(ext.samples) == 320 + 2 * 59
-    assert ext.length == 59
-    np.testing.assert_array_equal(ext.samples[59 : 59 + 320], segment)
+    assert ext.shape == (320 + 2 * 59,)
+    np.testing.assert_array_equal(ext[59 : 59 + 320], segment)
 
 
 def test_extend_zero_length_is_identity():
     segment = np.arange(100, dtype=np.float64)
-    ext = extend_segment(segment, 0)
-    assert ext.length == 0
-    np.testing.assert_array_equal(ext.samples, segment)
+    np.testing.assert_array_equal(extend_segment(segment, 0), segment)
 
 
 def test_extend_is_deterministic():
@@ -87,7 +78,7 @@ def test_extend_is_deterministic():
     segment = rng.standard_normal(320)
     a = extend_segment(segment, 40)
     b = extend_segment(segment, 40)
-    np.testing.assert_array_equal(a.samples, b.samples)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_extend_continues_a_sinusoid():
@@ -97,8 +88,8 @@ def test_extend_continues_a_sinusoid():
     x = 0.7 * np.sin(w * n)
     a, b = 400, 720
     ext = extend_segment(x[a:b], 59, RlsConfig(order=8, forgetting=0.995))
-    future_err = ext.samples[-59:] - x[b : b + 59]
-    past_err = ext.samples[:59] - x[a - 59 : a]
+    future_err = ext[-59:] - x[b : b + 59]
+    past_err = ext[:59] - x[a - 59 : a]
     assert np.sqrt(np.mean(future_err**2)) < 0.02
     assert np.sqrt(np.mean(past_err**2)) < 0.02
 
@@ -106,17 +97,13 @@ def test_extend_continues_a_sinusoid():
 def test_extend_validation():
     with pytest.raises(ValueError):
         extend_segment(np.zeros(320), -1)
-    with pytest.raises(ValueError):
-        ExtendedSegment(np.zeros(10), length=6)
-    with pytest.raises(ValueError):
-        ExtendedSegment(np.zeros(10), length=-1)
 
 
 def test_extend_rejects_segment_no_longer_than_taps():
     cfg = RlsConfig(order=8)
     with pytest.raises(ValueError, match="need a 1-d signal longer than 9 samples"):
         extend_segment(np.ones(9), 5, cfg)
-    assert extend_segment(np.ones(10), 5, cfg).samples.size == 20
+    assert extend_segment(np.ones(10), 5, cfg).size == 20
 
 
 def test_attack_names_the_frame_whose_segments_are_too_short():
@@ -201,8 +188,8 @@ def test_extend_matches_recursive_reference(name, caplog):
     past, clamped_past = _reference_forecast(segment[::-1], 59, cfg)
     with caplog.at_level(logging.WARNING, logger="audiojigsaw.estimator"):
         ext = extend_segment(segment, 59, cfg)
-    np.testing.assert_allclose(ext.samples[-59:], future, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(ext.samples[:59], past[::-1], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(ext[-59:], future, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(ext[:59], past[::-1], rtol=0, atol=1e-6)
     assert _clamp_counts(caplog.records) == [c for c in (clamped_future, clamped_past) if c]
 
 
@@ -217,7 +204,7 @@ def test_extend_forecast_stays_clamped(caplog):
     with caplog.at_level(logging.WARNING, logger="audiojigsaw.estimator"):
         ext = extend_segment(_CLAMPING_SPEECH, 59)
     assert _clamp_counts(caplog.records)
-    assert np.max(np.abs(ext.samples)) <= 4.0
+    assert np.max(np.abs(ext)) <= 4.0
 
 
 @pytest.mark.parametrize("n", [640, 960])
@@ -297,7 +284,7 @@ def test_extend_frame_matches_per_side_reference_bytes(name):
     segment = _BYTE_CASES[name]
     want, _ = _reference_extend_frame(segment[None], 59, RlsConfig())
     assert extend_frame(segment[None], 59).tobytes() == want.tobytes()
-    assert extend_segment(segment, 59).samples.tobytes() == want[0].tobytes()
+    assert extend_segment(segment, 59).tobytes() == want[0].tobytes()
 
 
 def test_extend_frame_of_all_cases_matches_per_side_reference_bytes():

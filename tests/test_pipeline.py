@@ -19,7 +19,8 @@ from audiojigsaw.pipeline import (
     write_results_csv,
 )
 from audiojigsaw.scrambler import ScramblerConfig, make_key_schedule, scramble
-from audiojigsaw.spectrogram import StftConfig, quantize_frame, segmented_spectrogram
+from audiojigsaw.spectrogram import StftConfig, segmented_spectrogram
+from references import quantize_pieces
 
 
 def _one_frame_cipher(seed=5, frame_size=4):
@@ -30,12 +31,17 @@ def _one_frame_cipher(seed=5, frame_size=4):
 
 
 def test_attack_config_validation():
-    assert AttackConfig().extension_samples == 59
-    assert AttackConfig(extension=10).extension_samples == 10
-    with pytest.raises(ValueError):
-        AttackConfig(quant_scale="log")
-    with pytest.raises(ValueError):
-        AttackConfig(extension=-1)
+    """The quantization scale (dB) and the extension length (window minus
+    one) are fixed, not settable: 320-sample segments extended by 59 and 39
+    samples per side give 43 and 36 columns, and 29 without extension."""
+    for knob in ("quant_scale", "extension"):
+        with pytest.raises(TypeError):
+            AttackConfig(**{knob: None})
+    frame = synthesize_speechlike(0.32, seed=7).samples.reshape(8, 320)
+    small = StftConfig(40, 30, 128)
+    assert frame_pieces(frame, AttackConfig()).shape == (8, 128, 43)
+    assert frame_pieces(frame, AttackConfig(stft=small)).shape == (8, 64, 36)
+    assert frame_pieces(frame, AttackConfig(use_estimation=False)).shape == (8, 128, 29)
 
 
 def test_attack_reports_and_reassembles():
@@ -87,25 +93,26 @@ def test_attack_is_deterministic():
     [
         AttackConfig(),
         AttackConfig(use_estimation=False),
-        AttackConfig(quant_scale="linear", extension=20),
+        AttackConfig(stft=StftConfig(40, 30, 128), use_estimation=False),
         AttackConfig(stft=StftConfig(40, 30, 128), rls=RlsConfig(order=12, forgetting=0.99)),
     ],
 )
 def test_frame_pieces_matches_segment_by_segment_chain(cfg):
-    """frame_pieces equals extending each segment on its own, then the STFT
-    and the joint quantization, pixel for pixel."""
+    """frame_pieces equals extending each segment on its own by window - 1
+    samples, then the STFT and the per-piece reference quantization, byte
+    for byte."""
     x = synthesize_speechlike(1.0, seed=7).samples
     for frame in x[: 3 * 2560].reshape(3, 8, 320):
         if cfg.use_estimation:
-            flank = cfg.extension_samples
-            sequences = [extend_segment(seg, flank, cfg.rls).samples for seg in frame]
+            flank = cfg.stft.window_size - 1
+            sequences = [extend_segment(seg, flank, cfg.rls) for seg in frame]
         else:
             sequences = list(frame)
-        want = quantize_frame(segmented_spectrogram(sequences, cfg.stft), cfg.quant_scale)
+        want = quantize_pieces(segmented_spectrogram(sequences, cfg.stft))
         got = frame_pieces(frame, cfg)
-        assert [p.piece_index for p in got] == [p.piece_index for p in want]
+        assert got.dtype == np.uint8 and got.shape == (8,) + want[0].shape
         for a, b in zip(got, want):
-            assert np.array_equal(a.pixels, b.pixels)
+            assert a.tobytes() == b.tobytes()
 
 
 def test_attack_calls_the_frame_stages_through_module_globals(monkeypatch):
@@ -173,6 +180,13 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(corpus=())
     assert SweepSpec(noise_at="none").snr_grid == (math.inf,)
+    # a bad SNR grid is refused before any trial is synthesized
+    for snr in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match=r"^snr_db must be finite or \+inf$"):
+            SweepSpec(snr_dbs=(snr,), noise_at="channel")
+        with pytest.raises(ValueError, match=r"^snr_db must be finite or \+inf$"):
+            SweepSpec(snr_dbs=(20.0, snr), noise_at="source")
+        assert SweepSpec(snr_dbs=(snr,), noise_at="none").snr_grid == (math.inf,)
 
 
 def test_sweep_row_count_contract(tmp_path):

@@ -4,12 +4,11 @@ import pytest
 from audiojigsaw.audio_io import synthesize_speechlike
 from audiojigsaw.pipeline import AttackConfig, frame_pieces
 from audiojigsaw.puzzle import DistanceConfig, arrangement_cost, build_distance_matrix
-from audiojigsaw.spectrogram import PieceImage
 from references import piece_distance
 
 
-def _piece(rows, index=0):
-    return PieceImage(np.asarray(rows, dtype=np.uint8), index)
+def _piece(rows):
+    return np.asarray(rows, dtype=np.uint8)
 
 
 def _pairwise_matrix(pieces, cfg=DistanceConfig()):
@@ -40,14 +39,14 @@ def test_matching_edges_have_zero_distance():
     right = rng.integers(0, 256, size=(16, 12), dtype=np.uint8)
     left[:, -1] = border
     right[:, 0] = border
-    assert piece_distance(_piece(left), _piece(right, 1), DistanceConfig(0, 0)) == 0.0
+    assert piece_distance(_piece(left), _piece(right), DistanceConfig(0, 0)) == 0.0
     flat = _piece(np.full((16, 12), 77))
-    assert piece_distance(flat, _piece(np.full((16, 12), 77), 1)) == 0.0
+    assert piece_distance(flat, _piece(np.full((16, 12), 77))) == 0.0
 
 
 def test_distance_hand_value_single_row():
     left = _piece([[0, 10]])
-    right = _piece([[4, 6]], 1)
+    right = _piece([[4, 6]])
     cfg = DistanceConfig(max_penetration=1, max_slide=0)
     # offset 0 compares 10 against 4, offset 1 compares 0 against 6
     assert piece_distance(left, right, cfg) == 6.0
@@ -55,14 +54,14 @@ def test_distance_hand_value_single_row():
 
 def test_distance_is_rms_over_rows():
     left = _piece(np.zeros((16, 4)))
-    right = _piece(np.full((16, 4), 3), 1)
+    right = _piece(np.full((16, 4), 3))
     assert piece_distance(left, right, DistanceConfig(0, 0)) == 3.0
     assert piece_distance(left, right, DistanceConfig(0, 7)) == 3.0
 
 
 def test_distance_is_directional():
     left = _piece([[0, 4, 3]])
-    right = _piece([[9, 6, 1]], 1)
+    right = _piece([[9, 6, 1]])
     cfg = DistanceConfig(max_penetration=1, max_slide=0)
     assert piece_distance(left, right, cfg) == 2.0
     assert piece_distance(right, left, cfg) == 1.0
@@ -76,7 +75,7 @@ def test_vertical_slide_recovers_shifted_seam():
     right = np.full((rows, 4), 200.0)
     left[:, -1] = np.arange(rows)
     right[:, 0] = np.arange(rows) + 2.0
-    pl, pr = _piece(left), _piece(right, 1)
+    pl, pr = _piece(left), _piece(right)
     assert piece_distance(pl, pr, DistanceConfig(0, 7)) == 0.0
     assert piece_distance(pl, pr, DistanceConfig(0, 1)) > 0.0
 
@@ -90,21 +89,21 @@ def test_penetration_skips_corrupt_border_columns():
     left[:, 4] = 255  # junk outermost column
     right[:, 0] = 251
     right[:, 1] = shared
-    pl, pr = _piece(left), _piece(right, 1)
+    pl, pr = _piece(left), _piece(right)
     assert piece_distance(pl, pr, DistanceConfig(1, 0)) == 0.0
     assert piece_distance(pl, pr, DistanceConfig(0, 0)) > 0.0
 
 
 def test_piece_distance_validation():
     with pytest.raises(ValueError):
-        piece_distance(_piece(np.zeros((4, 4))), _piece(np.zeros((4, 5)), 1))
+        piece_distance(_piece(np.zeros((4, 4))), _piece(np.zeros((4, 5))))
     with pytest.raises(ValueError):
-        piece_distance(_piece(np.zeros((4, 3))), _piece(np.zeros((4, 3)), 1))
+        piece_distance(_piece(np.zeros((4, 3))), _piece(np.zeros((4, 3))))
 
 
 def test_build_matrix_shape_and_diagonal():
     rng = np.random.Generator(np.random.PCG64(9))
-    pieces = [_piece(rng.integers(0, 256, size=(8, 6), dtype=np.uint8), i) for i in range(5)]
+    pieces = rng.integers(0, 256, size=(5, 8, 6), dtype=np.uint8)
     d = build_distance_matrix(pieces)
     assert d.shape == (5, 5)
     assert np.all(np.isinf(np.diag(d)))
@@ -129,7 +128,7 @@ def test_build_matrix_shape_and_diagonal():
 )
 def test_matrix_matches_pairwise_reference_on_random_pieces(n, rows, cols, cfg):
     rng = np.random.Generator(np.random.PCG64(1000 * n + 10 * rows + cols))
-    pieces = [_piece(rng.integers(0, 256, size=(rows, cols), dtype=np.uint8), i) for i in range(n)]
+    pieces = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
     assert np.array_equal(build_distance_matrix(pieces, cfg), _pairwise_matrix(pieces, cfg))
 
 
@@ -167,16 +166,17 @@ def _extreme_pieces():
 def test_matrix_is_exact_on_extreme_pieces(name, pixels):
     """Every term of sum(l**2) + sum(r**2) - 2 l.r is an integer below
     2**53, so even full-scale gaps over 1,024 rows come out exact."""
-    pieces = [_piece(p, i) for i, p in enumerate(pixels)]
+    pieces = _piece(pixels)
     assert np.array_equal(build_distance_matrix(pieces), _pairwise_matrix(pieces))
 
 
 def test_build_matrix_validation():
-    square = [_piece(np.zeros((4, 4)), i) for i in range(3)]
-    with pytest.raises(ValueError, match="^pieces must share their matrix shape$"):
-        build_distance_matrix(square + [_piece(np.zeros((4, 5)), 3)])
-    with pytest.raises(ValueError, match="^pieces must share their matrix shape$"):
-        build_distance_matrix(square + [_piece(np.zeros((5, 4)), 3)])
+    square = _piece(np.zeros((3, 4, 4)))
+    not_pieces = r"^pieces must be a \(pieces, rows, cols\) uint8 array$"
+    with pytest.raises(ValueError, match=not_pieces):
+        build_distance_matrix(square.astype(np.float64))
+    with pytest.raises(ValueError, match=not_pieces):
+        build_distance_matrix(square[0])
     with pytest.raises(ValueError, match="^pieces have 4 columns, need more than max_penetration=4$"):
         build_distance_matrix(square, DistanceConfig(max_penetration=4))
     with pytest.raises(ValueError, match="^need at least 2 pieces$"):

@@ -470,12 +470,6 @@ def test_bnb_breaks_ties_lexicographically():
     assert solve_bruteforce(d).order == (0, 1, 2, 3)
 
 
-def test_bnb_accepts_initial_incumbent():
-    exact = solve_bruteforce(D3)
-    seeded = solve_bnb(D3, initial=exact)
-    assert seeded.order == exact.order and seeded.cost == exact.cost
-
-
 def test_bnb_depth_first_fallback_still_exact():
     rng = np.random.Generator(np.random.PCG64(55))
     for _ in range(5):

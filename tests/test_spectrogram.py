@@ -4,14 +4,13 @@ import pytest
 from audiojigsaw.audio_io import synthesize_speechlike
 from audiojigsaw.estimator import extend_frame
 from audiojigsaw.spectrogram import (
-    PieceImage,
     StftConfig,
     hamming_window,
     quantize_frame,
     segmented_spectrogram,
     write_pgm,
 )
-from references import stft_magnitude, window_coverage
+from references import quantize_pieces, stft_magnitude, window_coverage
 
 
 def test_stft_config_defaults_and_hop():
@@ -102,12 +101,13 @@ def test_window_coverage_validation():
 
 
 def test_quantize_linear_rounding_half_up():
-    m1 = np.array([[0.0, 255.0]])
-    m2 = np.array([[127.5, 64.25]])
-    p1, p2 = quantize_frame([m1, m2], scale="linear")
-    np.testing.assert_array_equal(p1.pixels, [[0, 255]])
-    np.testing.assert_array_equal(p2.pixels, [[128, 64]])
-    assert (p1.piece_index, p2.piece_index) == (0, 1)
+    """The frame's dB range maps linearly onto 0..255, rounding half up.
+    Powers of ten from 1e7 up sit at exact multiples of 20 dB (the 1e-10
+    floor vanishes in rounding), so the 140..220 dB frame below puts
+    160, 180 and 200 dB at exactly 63.75, 127.5 and 191.25."""
+    pieces = quantize_frame(np.array([[[1e7, 1e11, 1e9]], [[1e8, 1e10, 1e9]]]))
+    assert pieces.dtype == np.uint8 and pieces.shape == (2, 1, 3)
+    np.testing.assert_array_equal(pieces, [[[0, 255, 128]], [[64, 191, 128]]])
 
 
 def test_quantize_range_is_shared_across_pieces():
@@ -115,38 +115,27 @@ def test_quantize_range_is_shared_across_pieces():
     quiet = np.full((3, 4), 2.0)
     loud = np.full((3, 4), 8.0)
     loud[0, 0] = 10.0
-    pq, pl = quantize_frame([quiet, loud], scale="linear")
-    assert pq.pixels.max() == 0
-    assert pl.pixels.max() == 255
-    alone = quantize_frame([quiet], scale="linear")[0]
-    assert alone.pixels.max() == 0  # flat matrix quantizes to zeros
+    pq, pl = quantize_frame([quiet, loud])
+    assert pq.max() == 0
+    assert pl.max() == 255
+    alone = quantize_frame([quiet])[0]
+    assert alone.max() == 0  # flat matrix quantizes to zeros
 
 
 def test_quantize_db_scale():
-    p1, p2 = quantize_frame([np.array([[1.0]]), np.array([[10.0]])], scale="db")
-    assert p1.pixels[0, 0] == 0
-    assert p2.pixels[0, 0] == 255
+    p1, p2 = quantize_frame([np.array([[1.0]]), np.array([[10.0]])])
+    assert p1[0, 0] == 0
+    assert p2[0, 0] == 255
 
 
 def test_quantize_validation():
-    with pytest.raises(ValueError):
+    not_spectra = r"^spectra must be a non-empty \(pieces, rows, cols\) array$"
+    with pytest.raises(ValueError, match=not_spectra):
         quantize_frame([])
-    with pytest.raises(ValueError):
-        quantize_frame([np.zeros((2, 2))], scale="log")
+    with pytest.raises(ValueError, match=not_spectra):
+        quantize_frame(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         quantize_frame([np.zeros((2, 2)), np.zeros((3, 2))])
-
-
-def test_piece_image_validation():
-    with pytest.raises(ValueError):
-        PieceImage(np.zeros((2, 2)), 0)  # float pixels
-    with pytest.raises(ValueError):
-        PieceImage(np.zeros(4, dtype=np.uint8), 0)
-    with pytest.raises(ValueError):
-        PieceImage(np.zeros((2, 2), dtype=np.uint8), -1)
-    piece = PieceImage(np.zeros((2, 2), dtype=np.uint8), 0)
-    with pytest.raises(ValueError):
-        piece.pixels[0, 0] = 1
 
 
 def test_segmented_spectrogram_is_per_segment():
@@ -199,62 +188,41 @@ def test_segmented_spectrogram_names_mismatched_lengths():
         segmented_spectrogram([np.zeros((2, 320))] * 2)
 
 
-def _reference_quantize(matrices, scale):
-    """Piece by piece, as the frame's one-pass quantization replaced."""
-    if scale == "db":
-        values = [20.0 * np.log10(np.asarray(m, dtype=np.float64) + 1e-10) for m in matrices]
-    else:
-        values = [np.asarray(m, dtype=np.float64) for m in matrices]
-    lo = min(float(v.min()) for v in values)
-    hi = max(float(v.max()) for v in values)
-    pieces = []
-    for v in values:
-        if hi == lo:
-            pieces.append(np.zeros(v.shape, dtype=np.uint8))
-        else:
-            scaled = 255.0 * (v - lo) / (hi - lo)
-            pieces.append(np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8))
-    return pieces
-
-
-def _ragged_sets(seed, count):
+def _random_frames(seed, count):
+    """Frames of 1 to 16 pieces of one random shape, magnitudes spread over
+    six decades, some in float32."""
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(count):
-        rows = int(rng.integers(1, 130))
-        widths = rng.integers(1, 40, size=int(rng.integers(1, 17)))
-        spread = 10.0 ** rng.uniform(-3, 3)
-        mats = [spread * rng.random((rows, int(w))) ** 3 for w in widths]
-        if rng.random() < 0.3:
-            mats = [m.astype(np.float32) for m in mats]
-        yield mats
+        shape = (int(rng.integers(1, 17)), int(rng.integers(1, 130)), int(rng.integers(1, 40)))
+        spectra = 10.0 ** rng.uniform(-3, 3) * rng.random(shape) ** 3
+        yield spectra.astype(np.float32) if rng.random() < 0.3 else spectra
 
 
-@pytest.mark.parametrize("scale", ["db", "linear"])
+@pytest.mark.parametrize("scale", ["db"])  # the one scale pieces are quantized on
 @pytest.mark.parametrize(
     "name, frames",
     [
         ("speech", lambda: (segmented_spectrogram(f) for f in _frames(6, 3))),
         ("extended speech", lambda: (segmented_spectrogram(f) for f in _frames(3, 4, extend=True))),
-        ("ragged", lambda: _ragged_sets(12, 60)),
-        ("flat", lambda: [[np.full((128, 29), 3.0)] * 8, [np.zeros((4, 3)), np.zeros((4, 5))]]),
+        ("random shapes", lambda: _random_frames(12, 60)),
+        ("flat", lambda: [[np.full((128, 29), 3.0)] * 8, [np.zeros((4, 3))] * 2]),
     ],
 )
 def test_quantize_frame_matches_per_piece_reference(name, frames, scale):
     """One pass over the whole frame gives every piece the bytes that
     quantizing it alone against the frame's range gives."""
     for mats in frames():
-        pieces = quantize_frame(mats, scale=scale)
-        expected = _reference_quantize(mats, scale)
-        assert [p.piece_index for p in pieces] == list(range(len(mats)))
+        pieces = quantize_frame(mats)
+        expected = quantize_pieces(mats)
+        assert pieces.shape == (len(mats),) + expected[0].shape
         for piece, want in zip(pieces, expected):
-            assert piece.pixels.shape == want.shape
-            assert piece.pixels.tobytes() == want.tobytes()
+            assert piece.tobytes() == want.tobytes()
 
 
 def test_write_pgm_layout(tmp_path):
     pixels = np.array([[1, 2], [3, 4]], dtype=np.uint8)
     path = tmp_path / "piece.pgm"
-    write_pgm(PieceImage(pixels, 0), path)
+    write_pgm(pixels, path)
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n2 2\n255\n")
     # low frequencies go at the bottom, so rows flip
