@@ -9,7 +9,6 @@ reassembles each frame.
 
 from .audio_io import (
     AudioBuffer,
-    VadConfig,
     WavFormatError,
     add_awgn,
     read_wav,
@@ -18,7 +17,7 @@ from .audio_io import (
     write_wav,
 )
 from .estimator import RlsConfig, extend_frame, extend_segment
-from .evaluation import AccuracyReport, accuracy, sub_block_matches, summarize_accuracy
+from .evaluation import AccuracyReport, accuracy, summarize_accuracy
 from .pipeline import (
     AttackConfig,
     CSV_HEADER,
@@ -72,7 +71,6 @@ __all__ = [
     "SolveReport",
     "StftConfig",
     "SweepSpec",
-    "VadConfig",
     "WavFormatError",
     "accuracy",
     "add_awgn",
@@ -98,7 +96,6 @@ __all__ = [
     "scramble",
     "segmented_spectrogram",
     "solve_bnb",
-    "sub_block_matches",
     "summarize_accuracy",
     "sweep",
     "synthesize_speechlike",

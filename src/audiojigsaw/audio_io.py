@@ -53,23 +53,11 @@ class AudioBuffer:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
 
-
-@dataclass(frozen=True)
-class VadConfig:
-    """Energy-gate settings for :func:`vad_trim`."""
-
-    window_ms: float = 20.0
-    threshold_ratio: float = 0.05
-
-    def __post_init__(self):
-        if self.window_ms <= 0:
-            raise ValueError("window_ms must be positive")
-        if not 0.0 < self.threshold_ratio < 1.0:
-            raise ValueError("threshold_ratio must lie strictly between 0 and 1")
+# Energy gate of vad_trim: analysis window length, and the share of the
+# loudest window's mean energy a window must reach to be kept.
+_VAD_WINDOW_MS = 20.0
+_VAD_THRESHOLD_RATIO = 0.05
 
 
 def read_wav(path) -> AudioBuffer:
@@ -266,15 +254,15 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
     return AudioBuffer(shaped * (0.9 / peak), sample_rate)
 
 
-def vad_trim(buf: AudioBuffer, cfg: VadConfig = VadConfig()) -> AudioBuffer:
-    """Drop low-energy analysis windows, keeping the rest in order.
+def vad_trim(buf: AudioBuffer) -> AudioBuffer:
+    """Drop low-energy 20 ms analysis windows, keeping the rest in order.
 
-    A window survives when its mean energy reaches threshold_ratio times
-    the peak window energy.  An all-silent buffer comes back empty.
+    A window survives when its mean energy reaches 0.05 times the peak
+    window energy.  An all-silent buffer comes back empty.
     """
     if len(buf) == 0:
         raise ValueError("cannot trim an empty buffer")
-    win = max(1, int(round(cfg.window_ms * buf.sample_rate / 1000.0)))
+    win = max(1, int(round(_VAD_WINDOW_MS * buf.sample_rate / 1000.0)))
     n_win = -(-len(buf) // win)
     energies = np.array(
         [np.mean(buf.samples[i * win : (i + 1) * win] ** 2) for i in range(n_win)]
@@ -285,7 +273,7 @@ def vad_trim(buf: AudioBuffer, cfg: VadConfig = VadConfig()) -> AudioBuffer:
     kept = [
         buf.samples[i * win : (i + 1) * win]
         for i in range(n_win)
-        if energies[i] >= cfg.threshold_ratio * peak
+        if energies[i] >= _VAD_THRESHOLD_RATIO * peak
     ]
     joined = np.concatenate(kept) if kept else np.empty(0)
     return AudioBuffer(joined, buf.sample_rate)

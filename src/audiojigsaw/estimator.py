@@ -46,6 +46,9 @@ logger = logging.getLogger(__name__)
 # feedback loop has gone unstable; they are pinned here instead.
 _CLAMP = 4.0
 
+# delta, the inverse of the initial covariance scale: P(0) = I / delta.
+_INIT_REG = 0.01
+
 
 @dataclass(frozen=True)
 class RlsConfig:
@@ -53,21 +56,18 @@ class RlsConfig:
 
     ``order`` is the number of filter taps minus one: the regressor holds
     the ``order + 1`` most recent past samples.  ``forgetting`` is the
-    exponential weight on old errors and ``init_reg`` the inverse of the
-    initial covariance scale (P(0) = I / init_reg).
+    exponential weight on old errors.  The initial covariance is fixed at
+    P(0) = I / 0.01 (``_INIT_REG``).
     """
 
     order: int = 52
     forgetting: float = 0.97
-    init_reg: float = 0.01
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be at least 1")
         if not 0.0 < self.forgetting <= 1.0:
             raise ValueError("forgetting must lie in (0, 1]")
-        if self.init_reg <= 0:
-            raise ValueError("init_reg must be positive")
 
 
 def _terminal_weights(x: np.ndarray, cfg: RlsConfig) -> np.ndarray:
@@ -88,7 +88,7 @@ def _terminal_weights(x: np.ndarray, cfg: RlsConfig) -> np.ndarray:
     a = sliding_window_view(x, taps, axis=-1)[..., :k, ::-1] * scale[:, None]
     at = np.swapaxes(a, -1, -2)
     b = (x[..., taps:] * scale)[..., None]
-    reg = cfg.init_reg * cfg.forgetting**k
+    reg = _INIT_REG * cfg.forgetting**k
     r = at @ a
     r[..., np.arange(taps), np.arange(taps)] += reg
     w = np.linalg.solve(r, at @ b)

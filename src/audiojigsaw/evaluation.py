@@ -16,56 +16,47 @@ def _check_pair(found: Sequence[int], correct: Sequence[int]) -> int:
     return n
 
 
-def sub_block_matches(found: Sequence[int], correct: Sequence[int], block_len: int) -> int:
-    """Count contiguous runs of ``block_len`` pieces appearing in both orders.
-
-    Every start offset in ``found`` is compared against every start offset
-    in ``correct``, so a correctly assembled run earns credit wherever it
-    ended up.
-    """
-    n = _check_pair(found, correct)
-    if not 1 <= block_len <= n:
-        raise ValueError("block_len must lie in 1..n")
-    found = tuple(found)
-    correct = tuple(correct)
-    count = 0
-    for i in range(n - block_len + 1):
-        block = found[i : i + block_len]
-        for j in range(n - block_len + 1):
-            if correct[j : j + block_len] == block:
-                count += 1
-    return count
-
-
 def accuracy(found: Sequence[int], correct: Sequence[int]) -> float:
     """Length-weighted fraction of shared contiguous runs, in [0, 1].
 
-    Each run length n contributes sub_block_matches * n, normalized by the
-    maximum attainable sum over all lengths.  1.0 exactly when the orders
-    are identical; a lone swap still scores partial credit because short
-    runs elsewhere survive.
+    Every run of k pieces that appears in both orders, wherever it sits in
+    each, earns k points, normalized by the points of identical orders.
+    1.0 exactly when the orders are identical; a lone swap still scores
+    partial credit because short runs elsewhere survive.
+
+    Both orders are permutations, so a run of ``found`` occurs at most once
+    in ``correct``, and the shared runs are the sub-runs of the maximal
+    stretches of ``found`` that ``correct`` also holds in sequence.  A
+    stretch of L pieces holds L - k + 1 runs of length k, which earn
+    sum_k k (L - k + 1) = C(L + 2, 3) points; identical orders earn
+    C(n + 2, 3), 120 at n = 8.
     """
     n = _check_pair(found, correct)
+    where = {piece: i for i, piece in enumerate(correct)}
+    at = [where[piece] for piece in found]
     earned = 0
-    possible = 0
-    for block_len in range(1, n + 1):
-        earned += sub_block_matches(found, correct, block_len) * block_len
-        possible += (n - block_len + 1) * block_len
-    return earned / possible
+    stretch = 1
+    for prev, here in zip(at, at[1:]):
+        if here == prev + 1:
+            stretch += 1
+        else:
+            earned += math.comb(stretch + 2, 3)
+            stretch = 1
+    earned += math.comb(stretch + 2, 3)
+    return earned / math.comb(n + 2, 3)
 
 
 @dataclass(frozen=True)
 class AccuracyReport:
-    """Per-frame scores with their mean and sample standard deviation."""
+    """Mean and sample standard deviation of per-frame scores."""
 
-    per_frame: tuple[float, ...]
     mean: float
     std: float
 
 
-def summarize_accuracy(per_frame: Sequence[float]) -> AccuracyReport:
+def summarize_accuracy(frame_scores: Sequence[float]) -> AccuracyReport:
     """Aggregate per-frame accuracies; std is 0 for fewer than two frames."""
-    scores = tuple(float(v) for v in per_frame)
+    scores = tuple(float(v) for v in frame_scores)
     if not scores:
         raise ValueError("no frame scores given")
     mean = sum(scores) / len(scores)
@@ -73,4 +64,4 @@ def summarize_accuracy(per_frame: Sequence[float]) -> AccuracyReport:
         std = 0.0
     else:
         std = math.sqrt(sum((v - mean) ** 2 for v in scores) / (len(scores) - 1))
-    return AccuracyReport(scores, mean, std)
+    return AccuracyReport(mean, std)

@@ -27,6 +27,7 @@ from .puzzle import DistanceConfig, build_distance_matrix
 from .scrambler import (
     KeySchedule,
     ScramblerConfig,
+    _check_schedule,
     _split_frames,
     descramble,
     invert_permutation,
@@ -99,10 +100,7 @@ def attack(
     if len(frames) == 0:
         raise ValueError(f"signal of {len(cipher)} samples is shorter than one frame")
     if truth is not None:
-        if truth.frame_size != geom.frame_size:
-            raise ValueError("truth key width does not match frame_size")
-        if len(truth) < len(frames):
-            raise ValueError("truth schedule has fewer keys than frames")
+        _check_schedule(truth, geom, len(frames))
     results = []
     for f, segments in enumerate(frames):
         began = time.perf_counter()
@@ -175,8 +173,9 @@ def write_results_csv(path, rows: Sequence[Sequence[str]]) -> None:
 class SweepSpec:
     """Grid of scrambler geometries and channel conditions to attack.
 
-    Plaintext comes from :func:`synthesize_speechlike` unless ``corpus``
-    lists WAV paths (trial t reads corpus[t mod len]).  Every grid point is
+    Plaintext comes from :func:`synthesize_speechlike` at 8 kHz unless
+    ``corpus`` lists WAV paths (trial t reads corpus[t mod len]); segments
+    are framed at the plaintext's own sample rate.  Every grid point is
     attacked twice, with and without predictive extension.  All seeds
     derive from ``seed``, so two runs of the same spec produce the same
     science (the solve_ms timing column is wall clock and will differ).
@@ -189,7 +188,6 @@ class SweepSpec:
     trials: int = 1
     seed: int = 0
     duration_s: float = 10.0
-    sample_rate: int = 8000
     corpus: tuple[str, ...] | None = None
     vad: bool = False
     stft: StftConfig = StftConfig()
@@ -225,7 +223,6 @@ def sweep(spec: SweepSpec, csv_path) -> None:
     rows = []
     grid = list(product(spec.frame_sizes, spec.segment_ms_values, spec.snr_grid))
     for grid_index, (frame_size, segment_ms, snr_db) in enumerate(grid):
-        geom = ScramblerConfig(frame_size, segment_ms, spec.sample_rate)
         for trial in range(spec.trials):
             entropy = np.random.SeedSequence([spec.seed, grid_index, trial])
             synth_seed, key_seed, source_seed, channel_seed = (
@@ -234,9 +231,10 @@ def sweep(spec: SweepSpec, csv_path) -> None:
             if spec.corpus is not None:
                 plain = read_wav(spec.corpus[trial % len(spec.corpus)])
             else:
-                plain = synthesize_speechlike(spec.duration_s, synth_seed, spec.sample_rate)
+                plain = synthesize_speechlike(spec.duration_s, synth_seed)
             if spec.vad:
                 plain = vad_trim(plain)
+            geom = ScramblerConfig(frame_size, segment_ms, plain.sample_rate)
             n_frames = len(plain) // geom.frame_samples
             if n_frames == 0:
                 raise ValueError(

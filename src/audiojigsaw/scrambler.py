@@ -49,10 +49,9 @@ class ScramblerConfig:
 
 @dataclass(frozen=True)
 class KeySchedule:
-    """One permutation per frame.  ``seed`` is None for schedules loaded from disk."""
+    """One permutation per frame."""
 
     keys: tuple[tuple[int, ...], ...]
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.keys:
@@ -83,7 +82,7 @@ def make_key_schedule(seed: int, n_frames: int, frame_size: int) -> KeySchedule:
         raise ValueError("frame_size must be at least 2 to permute")
     rng = np.random.Generator(np.random.PCG64(seed))
     keys = tuple(tuple(int(v) for v in rng.permutation(frame_size)) for _ in range(n_frames))
-    return KeySchedule(keys, seed=seed)
+    return KeySchedule(keys)
 
 
 def invert_permutation(key: Sequence[int]) -> tuple[int, ...]:

@@ -52,6 +52,9 @@ import numpy as np
 
 from .scrambler import invert_permutation
 
+# Frontier entries past which the best-first search continues depth-first.
+_FRONTIER_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -236,9 +239,7 @@ def _rounding_slack(d: np.ndarray) -> float:
 
 
 def solve_bnb(
-    d,
-    frontier_cap: int = 1_000_000,
-    on_expand: Callable[[tuple[int, ...], float, float], None] | None = None,
+    d, on_expand: Callable[[tuple[int, ...], float, float], None] | None = None
 ) -> SolveReport:
     """Exact best-first branch and bound over piece orders.
 
@@ -269,7 +270,7 @@ def solve_bnb(
     whose cheapest in-arcs close a cycle.  Each column's sources are ranked
     once per solve, so finding a cheapest in-arc rarely scans.
 
-    If the frontier outgrows ``frontier_cap`` entries the search degrades
+    If the frontier outgrows ``_FRONTIER_CAP`` entries the search degrades
     to depth-first under the same bound, which trades order of exploration
     for memory and cannot affect the returned optimum.
 
@@ -341,7 +342,7 @@ def solve_bnb(
 
     best_first = True
     while frontier:
-        if best_first and len(frontier) > frontier_cap:
+        if best_first and len(frontier) > _FRONTIER_CAP:
             # Memory guard: continue depth-first, best bounds on top.
             frontier.sort(key=lambda e: (e[0], e[1], e[2]), reverse=True)
             best_first = False

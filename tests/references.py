@@ -3,8 +3,8 @@
 The attack never calls these.  Each one states a stage's definition as
 plainly as possible: the RLS recursion, the STFT of one signal, the
 analysis-window coverage of a sample, the quantization of a frame piece by
-piece, the seam distance of one pair of pieces, and the exhaustive frame
-solve.
+piece, the seam distance of one pair of pieces, the exhaustive frame
+solve, and the accuracy score as a sum over every shared block.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from audiojigsaw.estimator import RlsConfig
+from audiojigsaw.estimator import _INIT_REG, RlsConfig
+from audiojigsaw.evaluation import _check_pair
 from audiojigsaw.puzzle import DistanceConfig, arrangement_cost
 from audiojigsaw.solver import SolveReport, _validated
 from audiojigsaw.spectrogram import StftConfig, hamming_window
@@ -24,7 +25,7 @@ def rls_run(signal, cfg: RlsConfig = RlsConfig()) -> tuple[np.ndarray, np.ndarra
     """Adapt a one-step-ahead RLS predictor over a signal.
 
     At step n the regressor is [x(n-1), ..., x(n-order-1)] and the desired
-    response is x(n) itself.  Weights start at zero, P at I / init_reg.
+    response is x(n) itself.  Weights start at zero, P at I / delta (``_INIT_REG``).
 
     Returns
     -------
@@ -36,7 +37,7 @@ def rls_run(signal, cfg: RlsConfig = RlsConfig()) -> tuple[np.ndarray, np.ndarra
     if x.ndim != 1 or x.size < taps + 1:
         raise ValueError(f"need a 1-d signal longer than {taps} samples")
     lam = cfg.forgetting
-    P = np.eye(taps) / cfg.init_reg
+    P = np.eye(taps) / _INIT_REG
     w = np.zeros(taps)
     errors = np.empty(x.size - taps)
     for n in range(taps, x.size):
@@ -180,3 +181,37 @@ def solve_bruteforce(d, max_pieces: int = 10) -> SolveReport:
             best_cost = float(costs[pick])
             best_order = tuple(int(v) for v in chunk[pick])
     return SolveReport(best_order, arrangement_cost(d, best_order), examined)
+
+
+def sub_block_matches(found, correct, block_len: int) -> int:
+    """Count contiguous runs of ``block_len`` pieces appearing in both orders.
+
+    Every start offset in ``found`` is compared against every start offset
+    in ``correct``, so a correctly assembled run earns credit wherever it
+    ended up.
+    """
+    n = _check_pair(found, correct)
+    if not 1 <= block_len <= n:
+        raise ValueError("block_len must lie in 1..n")
+    found = tuple(found)
+    correct = tuple(correct)
+    count = 0
+    for i in range(n - block_len + 1):
+        block = found[i : i + block_len]
+        for j in range(n - block_len + 1):
+            if correct[j : j + block_len] == block:
+                count += 1
+    return count
+
+
+def block_accuracy(found, correct) -> float:
+    """Accuracy by definition: each block length k contributes
+    sub_block_matches * k, normalized by the maximum attainable sum over
+    all lengths."""
+    n = _check_pair(found, correct)
+    earned = 0
+    possible = 0
+    for block_len in range(1, n + 1):
+        earned += sub_block_matches(found, correct, block_len) * block_len
+        possible += (n - block_len + 1) * block_len
+    return earned / possible

@@ -8,7 +8,6 @@ from scipy.signal import lfilter
 from audiojigsaw import audio_io
 from audiojigsaw.audio_io import (
     AudioBuffer,
-    VadConfig,
     WavFormatError,
     add_awgn,
     read_wav,
@@ -123,13 +122,6 @@ def test_vad_trim_removes_silence():
 def test_vad_trim_all_silence_comes_back_empty():
     trimmed = vad_trim(AudioBuffer(np.zeros(4000), 8000))
     assert len(trimmed) == 0
-
-
-def test_vad_config_validation():
-    with pytest.raises(ValueError):
-        VadConfig(window_ms=0.0)
-    with pytest.raises(ValueError):
-        VadConfig(threshold_ratio=1.5)
 
 
 def test_awgn_hits_target_snr():

@@ -1,13 +1,17 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
+from audiojigsaw import cli, pipeline
 from audiojigsaw.audio_io import AudioBuffer, read_wav, write_wav, synthesize_speechlike
 from audiojigsaw.cli import main
-from audiojigsaw.pipeline import AttackConfig, frame_pieces
+from audiojigsaw.estimator import RlsConfig
+from audiojigsaw.pipeline import AttackConfig, SweepSpec, frame_pieces
+from audiojigsaw.puzzle import DistanceConfig
 from audiojigsaw.scrambler import ScramblerConfig, load_keys
-from audiojigsaw.spectrogram import write_pgm
+from audiojigsaw.spectrogram import StftConfig, write_pgm
 
 
 @pytest.fixture
@@ -155,3 +159,61 @@ def test_config_file_rejects_unknown_option(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "audiojigsaw" in capsys.readouterr().out
+
+
+_ANALYSIS_FLAGS = ["--win-size", "40", "--overlap", "30", "--fft-size", "128", "--rls-order", "12",
+                   "--forgetting", "0.99", "--alpha-max", "2", "--beta-max", "5"]
+
+
+def _leaves(config, prefix=""):
+    """(dotted field name, value) for every non-dataclass field, nested ones included."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{field.name}.")
+        else:
+            yield prefix + field.name, value
+
+
+def test_every_config_field_is_set_from_flags(tmp_path, monkeypatch):
+    """Non-default flags reach every field of the configs that attack and
+    sweep build, and the geometry takes the WAV's own 16 kHz rate; a field
+    that still holds its default after this has no flag to set it."""
+    wav = tmp_path / "plain16k.wav"
+    write_wav(wav, synthesize_speechlike(1.0, seed=11, sample_rate=16000))
+    attack_cfgs, specs = [], []
+    original_attack, original_sweep = pipeline.attack, pipeline.sweep
+
+    def attack_spy(cipher, cfg, truth=None):
+        attack_cfgs.append(cfg)
+        return original_attack(cipher, cfg, truth)
+
+    def sweep_spy(spec, csv_path):
+        specs.append(spec)
+        return original_sweep(spec, csv_path)
+
+    # the CLI calls the names it imported; sweep calls pipeline.attack
+    monkeypatch.setattr(pipeline, "attack", attack_spy)
+    monkeypatch.setattr(cli, "attack", attack_spy)
+    monkeypatch.setattr(cli, "sweep", sweep_spy)
+    framing = ["--frame-size", "4", "--segment-ms", "30"]
+    assert main(["attack", "--input", str(wav), "--output", str(tmp_path / "est.wav"),
+                 "--no-rls", *framing, *_ANALYSIS_FLAGS]) == 0
+    assert main(["sweep", "--csv", str(tmp_path / "sweep.csv"), "--snr-db", "20",
+                 "--noise-at", "source", "--trials", "2", "--seed", "3", "--duration", "2.5",
+                 "--input", str(wav), "--vad", *framing, *_ANALYSIS_FLAGS]) == 0
+
+    attack_cfg, *sweep_cfgs = attack_cfgs
+    defaults = dict(_leaves(AttackConfig()))
+    assert [name for name, value in _leaves(attack_cfg) if value == defaults[name]] == []
+    defaults = dict(_leaves(SweepSpec()))
+    assert [name for name, value in _leaves(specs[0]) if value == defaults[name]] == []
+    analysis = dict(stft=StftConfig(40, 30, 128), rls=RlsConfig(12, 0.99),
+                    distance=DistanceConfig(2, 5))
+    geom = ScramblerConfig(4, 30.0, 16000)
+    assert attack_cfg == AttackConfig(scrambler=geom, use_estimation=False, **analysis)
+    assert sweep_cfgs == [AttackConfig(scrambler=geom, use_estimation=use, **analysis)
+                          for _ in range(2) for use in (True, False)]
+    assert specs == [SweepSpec(frame_sizes=(4,), segment_ms_values=(30.0,), snr_dbs=(20.0,),
+                               noise_at="source", trials=2, seed=3, duration_s=2.5,
+                               corpus=(str(wav),), vad=True, **analysis)]

@@ -9,7 +9,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from audiojigsaw.audio_io import synthesize_speechlike
-from audiojigsaw.estimator import RlsConfig, _terminal_weights, extend_frame, extend_segment
+from audiojigsaw.estimator import (
+    _INIT_REG,
+    RlsConfig,
+    _terminal_weights,
+    extend_frame,
+    extend_segment,
+)
 from audiojigsaw.pipeline import AttackConfig, attack
 from audiojigsaw.scrambler import ScramblerConfig
 from references import rls_run
@@ -22,8 +28,6 @@ def test_rls_config_validation():
         RlsConfig(forgetting=0.0)
     with pytest.raises(ValueError):
         RlsConfig(forgetting=1.2)
-    with pytest.raises(ValueError):
-        RlsConfig(init_reg=0.0)
 
 
 def test_rls_defaults_match_reference_setup():
@@ -143,7 +147,7 @@ def _objective(x, w, cfg):
     k = x.size - taps
     errors = np.array([x[n] - w @ x[n - taps : n][::-1] for n in range(taps, x.size)])
     weights = cfg.forgetting ** np.arange(k - 1, -1, -1)
-    return float(weights @ errors**2 + cfg.init_reg * cfg.forgetting**k * (w @ w))
+    return float(weights @ errors**2 + _INIT_REG * cfg.forgetting**k * (w @ w))
 
 
 def _speech_segments(n, sample_rate, seed, count):
@@ -247,7 +251,7 @@ def _reference_weights(x, cfg):
     scale = np.sqrt(cfg.forgetting) ** np.arange(k - 1, -1, -1)
     a = sliding_window_view(x, taps)[:k, ::-1] * scale[:, None]
     b = x[taps:] * scale
-    reg = cfg.init_reg * cfg.forgetting**k
+    reg = _INIT_REG * cfg.forgetting**k
     r = a.T @ a
     r[np.diag_indices(taps)] += reg
     w = np.linalg.solve(r, a.T @ b)

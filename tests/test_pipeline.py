@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from audiojigsaw import pipeline
-from audiojigsaw.audio_io import AudioBuffer, synthesize_speechlike
+from audiojigsaw.audio_io import AudioBuffer, synthesize_speechlike, write_wav
 from audiojigsaw.estimator import RlsConfig, extend_segment
 from audiojigsaw.pipeline import (
     CSV_HEADER,
@@ -249,3 +249,26 @@ def test_sweep_corpus_mode(tmp_path):
     with open(path) as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 2
+
+
+def test_sweep_corpus_mode_frames_at_the_file_rate(tmp_path, monkeypatch):
+    """A 16 kHz corpus file is cut into 40 ms segments of 640 samples, so
+    one second holds 3 frames of 8 and the CSV 6 rows."""
+    wav = tmp_path / "plain16k.wav"
+    write_wav(wav, synthesize_speechlike(1.0, seed=77, sample_rate=16000))
+    geoms = []
+    original = pipeline.attack
+
+    def spy(cipher, cfg, truth=None):
+        geoms.append(cfg.scrambler)
+        return original(cipher, cfg, truth)
+
+    monkeypatch.setattr(pipeline, "attack", spy)
+    path = tmp_path / "corpus.csv"
+    sweep(SweepSpec(corpus=(str(wav),)), path)
+    assert geoms == [ScramblerConfig(8, 40.0, 16000)] * 2
+    assert geoms[0].segment_samples == 640
+    with open(path) as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 6
+    assert {r["segment_ms"] for r in rows} == {"40"}

@@ -89,7 +89,7 @@ def test_scramble_rejects_mismatched_schedule():
 
 def test_key_schedule_properties():
     ks = make_key_schedule(314, n_frames=40, frame_size=8)
-    assert len(ks) == 40 and ks.frame_size == 8 and ks.seed == 314
+    assert len(ks) == 40 and ks.frame_size == 8
     for key in ks.keys:
         assert sorted(key) == list(range(8))
     again = make_key_schedule(314, 40, 8)
@@ -113,7 +113,6 @@ def test_keys_file_round_trip(tmp_path):
     save_keys(ks, path)
     loaded = load_keys(path)
     assert loaded.keys == ks.keys
-    assert loaded.seed is None
 
 
 def test_keyspace_bits_table():

@@ -29,6 +29,14 @@ D3 = np.array(
 )
 
 
+def _solve_capped(d, frontier_cap):
+    """solve_bnb with the frontier capped at ``frontier_cap`` entries; a
+    context, not the monkeypatch fixture, so it also runs under @given."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_FRONTIER_CAP", frontier_cap)
+        return solve_bnb(d)
+
+
 def _random_matrix(rng, n):
     d = rng.uniform(0.0, 1.0, size=(n, n))
     np.fill_diagonal(d, np.inf)
@@ -222,7 +230,7 @@ def test_solvers_agree_when_arcs_are_infinite():
     for d in _infinite_arc_matrices(404, 400):
         n = d.shape[0]
         exact = solve_bruteforce(d)
-        for found in (solve_bnb(d), solve_bnb(d, frontier_cap=2)):
+        for found in (solve_bnb(d), _solve_capped(d, 2)):
             assert (found.order, found.cost) == (exact.order, exact.cost)
         greedy = greedy_upper_bound(d)
         assert sorted(greedy.order) == list(range(n))
@@ -411,7 +419,8 @@ def _assert_same_search(d):
         seen = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "min_arborescence_weight", only_on_cycles)
-            got = solve_bnb(d, frontier_cap=frontier_cap, on_expand=lambda *node: seen.append(node))
+            patch.setattr(solver, "_FRONTIER_CAP", frontier_cap)
+            got = solve_bnb(d, on_expand=lambda *node: seen.append(node))
         for prefix, cost, bound in seen:
             nodes = [prefix[-1]] + [j for j in range(n) if j not in prefix]
             assert bound == cost + _reference_min_arborescence_weight(d, nodes, prefix[-1])
@@ -474,7 +483,7 @@ def test_bnb_depth_first_fallback_still_exact():
     rng = np.random.Generator(np.random.PCG64(55))
     for _ in range(5):
         d = _random_matrix(rng, 7)
-        capped = solve_bnb(d, frontier_cap=2)
+        capped = _solve_capped(d, 2)
         assert capped.order == solve_bruteforce(d).order
 
 
@@ -527,7 +536,7 @@ def test_tie_pruning_matches_bruteforce(d, frontier_cap):
     tied branches must still return the oracle's lexicographic winner,
     best-first and in the depth-first fallback."""
     exact = solve_bruteforce(d)
-    found = solve_bnb(d, frontier_cap=frontier_cap)
+    found = _solve_capped(d, frontier_cap)
     assert found.order == exact.order
     assert found.cost == exact.cost
 
@@ -558,7 +567,7 @@ def test_search_is_exact_on_real_valued_ties(d, frontier_cap):
     whose sums round differently in different orders; the search must still
     return the left-to-right oracle's order and cost."""
     exact = solve_bruteforce(d)
-    found = solve_bnb(d, frontier_cap=frontier_cap)
+    found = _solve_capped(d, frontier_cap)
     assert (found.order, found.cost) == (exact.order, exact.cost)
 
 
