@@ -17,6 +17,7 @@ from pathlib import Path
 from .audio_io import WavFormatError, read_wav, vad_trim, write_wav
 from .estimator import RlsConfig
 from .pipeline import (
+    _BLOCK_FRAMES,
     AttackConfig,
     SweepSpec,
     attack,
@@ -118,7 +119,8 @@ def _build():
     p.add_argument("--noise-at", choices=("source", "channel"), default=None, help="where noise enters")
     p.add_argument("--trials", type=int, default=1, help="trials per grid point")
     p.add_argument("--seed", type=int, default=0, help="master seed for the whole sweep")
-    p.add_argument("--duration", type=float, default=10.0, help="seconds of audio per trial")
+    p.add_argument("--duration", type=float, default=None,
+                   help="seconds of synthetic audio per trial (default 10)")
     p.add_argument("--input", default=None, help="corpus WAV to attack instead of synthetic audio")
     p.add_argument("--vad", action="store_true", help="trim silence from the plaintext first")
     _add_analysis(p)
@@ -282,10 +284,12 @@ def _cmd_spectrogram(ns) -> int:
     out_dir = Path(ns.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
-    for f, segments in enumerate(frames):
-        for k, piece in enumerate(frame_pieces(segments, cfg)):
-            write_pgm(piece, out_dir / f"frame{f:03d}_piece{k}.pgm")
-            count += 1
+    for first in range(0, len(frames), _BLOCK_FRAMES):
+        block = frame_pieces(frames[first : first + _BLOCK_FRAMES], cfg)
+        for f, pieces in enumerate(block, first):
+            for k, piece in enumerate(pieces):
+                write_pgm(piece, out_dir / f"frame{f:03d}_piece{k}.pgm")
+                count += 1
     print(f"wrote {count} piece images -> {out_dir}")
     return 0
 

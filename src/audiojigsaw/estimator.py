@@ -18,14 +18,15 @@ exponentially weighted least-squares solve replaces the k rank-one updates.
 The recursion itself is kept as the reference in the tests
 (``tests/references.py``).
 
-``extend_frame`` extends all 2N sides of a frame at once: one stacked
-solve for the weights, then one forecast loop over a ``(taps, 2N)`` work
-window.  Each step multiplies the window by the weights and reduces over
-the outer axis, which numpy does by adding whole rows one after another:
-tap by tap, from +0.0, in the order of the per-side dot product
-``w @ x[::-1]`` (its negative stride keeps that product off BLAS, in
-numpy's sequential loop).  So every forecast sample is bit-identical to
-extending the sides one by one.  ``@``, ``einsum`` or a reduce along a
+``extend_frame`` extends all 2N sides of a frame, or of a stack of F
+frames, at once: one stacked weight solve per frame, then one forecast
+loop over a ``(taps, 2FN)`` work window.  Each step multiplies the window
+by the weights and reduces over the outer axis, which numpy does by adding
+whole rows one after another: tap by tap, from +0.0, in the order of the
+per-side dot product ``w @ x[::-1]`` (its negative stride keeps that
+product off BLAS, in numpy's sequential loop).  Columns never mix, so every
+forecast sample is bit-identical to extending the sides one by one, however
+many sides share the window.  ``@``, ``einsum`` or a reduce along a
 contiguous axis may use BLAS or pairwise summation instead and move the
 last bits.  A zero-input IIR filter response is no replacement either: it
 accumulates in another order, and the +/-4 clamp acts inside the feedback
@@ -98,33 +99,39 @@ def _terminal_weights(x: np.ndarray, cfg: RlsConfig) -> np.ndarray:
 def extend_frame(segments, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndarray:
     """Continue every segment of a frame ``length`` samples into the past and the future.
 
-    ``segments`` is an ``(N, L)`` array; row i of the ``(N, L + 2 length)``
-    result is segment i flanked by its past and future forecasts, with the
-    segment itself in the middle bit for bit.  The future side feeds back
-    one-step predictions from weights trained forward over the segment; the
-    past side does the same on the reversed segment.  All 2N sides share
-    one stacked weight solve and one forecast loop.  Forecast magnitudes
-    are clamped to +/-4, so a runaway predictor cannot corrupt the
-    spectrogram scale; each clamped side logs one warning, segment by
-    segment, future side first.
+    ``segments`` is one frame's ``(N, L)`` array or an ``(F, N, L)`` stack
+    of frames; each row of the ``(..., N, L + 2 length)`` result is its
+    segment flanked by its past and future forecasts, with the segment
+    itself in the middle bit for bit.  The future side feeds back one-step
+    predictions from weights trained forward over the segment; the past
+    side does the same on the reversed segment.  Weights are solved one
+    frame (2N sides) at a time, which keeps the stacked least-squares
+    systems at one frame's size; one forecast loop then advances every
+    side of every frame.  Forecast magnitudes are clamped to +/-4, so a
+    runaway predictor cannot corrupt the spectrogram scale; each clamped
+    side logs one warning, frame by frame, segment by segment, future side
+    first.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
     x = np.asarray(segments, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("segments must be a non-empty 2-d (count, samples) array")
+    if x.ndim not in (2, 3) or x.size == 0:
+        raise ValueError(
+            "segments must be a non-empty 2-d (count, samples) array or a 3-d stack of them"
+        )
     if length == 0:
         return x.copy()
     taps = cfg.order + 1
-    if x.shape[1] < taps + 1:
-        raise ValueError(f"need a 1-d signal longer than {taps} samples")
-    n = x.shape[0]
-    # Row 2i is segment i forward (its future side), row 2i + 1 reversed (its past).
-    sides = np.stack([x, x[:, ::-1]], axis=1).reshape(2 * n, -1)
-    weights = _terminal_weights(sides, cfg).T.copy()
-    work = np.empty((taps + length, 2 * n))
-    work[:taps] = sides[:, -taps:].T
-    raw = np.empty((length, 2 * n))
+    if x.shape[-1] < taps + 1:
+        raise ValueError(f"segments must be longer than {taps} samples")
+    frames = x.reshape(-1, *x.shape[-2:])
+    # Row 2i of a frame's sides is segment i forward (its future side), row 2i + 1
+    # reversed (its past); frame f's sides follow frame f - 1's.
+    sides = np.stack([frames, frames[..., ::-1]], axis=2).reshape(-1, 2 * x.shape[-2], x.shape[-1])
+    weights = np.concatenate([_terminal_weights(s, cfg) for s in sides]).T.copy()
+    work = np.empty((taps + length, weights.shape[1]))
+    work[:taps] = sides[..., -taps:].reshape(-1, taps).T
+    raw = np.empty((length, weights.shape[1]))
     for i in range(length):
         # Outer-axis sum: tap by tap from +0.0, as the per-side dot product adds.
         np.add.reduce(weights * work[i : i + taps][::-1], axis=0, out=raw[i], initial=0.0)
@@ -132,8 +139,8 @@ def extend_frame(segments, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndar
     for clamped in np.count_nonzero(np.abs(raw) > _CLAMP, axis=0).tolist():
         if clamped:
             logger.warning("clamped %d of %d forecast samples to +/-%g", clamped, length, _CLAMP)
-    forecast = work[taps:].T
-    return np.concatenate([forecast[1::2, ::-1], x, forecast[0::2]], axis=1)
+    forecast = work[taps:].T.reshape(*x.shape[:-1], 2, length)
+    return np.concatenate([forecast[..., 1, ::-1], x, forecast[..., 0, :]], axis=-1)
 
 
 def extend_segment(segment, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndarray:

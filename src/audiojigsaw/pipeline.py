@@ -59,27 +59,32 @@ class FrameAttackResult:
     accuracy: float | None = None
 
 
+# Frames that attack runs through its stages together.  Stacking amortises
+# numpy's per-call cost in the forecast loop and the seam distances; the
+# block bounds the memory of the distances' lag copies.
+_BLOCK_FRAMES = 8
+
+
 def frame_pieces(segments: np.ndarray, cfg: AttackConfig) -> np.ndarray:
     """Quantized spectrogram pieces of one frame's ``(N, L)`` segments, as one
-    ``(N, fft_size/2, cols)`` uint8 array.
+    ``(N, fft_size/2, cols)`` uint8 array, or of an ``(F, N, L)`` stack of
+    frames, as an ``(F, N, fft_size/2, cols)`` array.
 
     With ``cfg.use_estimation`` every segment is first extended by
-    ``window_size - 1`` forecast samples per side.  The stages are looked
-    up as this module's globals at call time, so a tracer that rebinds them
-    here sees every call.
+    ``window_size - 1`` forecast samples per side, the whole stack in one
+    call; the STFT and the quantization then run frame by frame, each frame
+    on its own grey scale.  The stages are looked up as this module's
+    globals at call time, so a tracer that rebinds them here sees every
+    call.
     """
+    segments = np.asarray(segments, dtype=np.float64)
+    if segments.ndim not in (2, 3):
+        raise ValueError("segments must be an (N, L) frame or an (F, N, L) stack of frames")
     if cfg.use_estimation:
         segments = extend_frame(segments, cfg.stft.window_size - 1, cfg.rls)
-    return quantize_frame(segmented_spectrogram(segments, cfg.stft))
-
-
-def _solve_frame(segments: np.ndarray, cfg: AttackConfig):
-    """Order the cipher segments of one frame by spectro-temporal continuity."""
-    if cfg.scrambler.frame_size == 1:
-        return (0,), 0.0, 0
-    distances = build_distance_matrix(frame_pieces(segments, cfg), cfg.distance)
-    report = solve_bnb(distances)
-    return report.order, report.cost, report.nodes_expanded
+    if segments.ndim == 2:
+        return quantize_frame(segmented_spectrogram(segments, cfg.stft))
+    return np.stack([quantize_frame(segmented_spectrogram(s, cfg.stft)) for s in segments])
 
 
 def attack(
@@ -94,6 +99,11 @@ def attack(
     frame passed through), and one result per frame.  When ``truth`` is supplied each result also
     carries the accuracy of the recovered order against the true one (the
     inverse of that frame's key).
+
+    Frames go through the stages in blocks of ``_BLOCK_FRAMES``: one
+    ``frame_pieces`` call and one distance call per block, then one solve
+    per frame.  A frame's ``solve_ms`` is its own solve time plus an equal
+    share of its block's pieces and distances.
     """
     geom = cfg.scrambler
     frames, _ = _split_frames(cipher, geom)
@@ -102,17 +112,27 @@ def attack(
     if truth is not None:
         _check_schedule(truth, geom, len(frames))
     results = []
-    for f, segments in enumerate(frames):
+    for first in range(0, len(frames), _BLOCK_FRAMES):
+        block = frames[first : first + _BLOCK_FRAMES]
         began = time.perf_counter()
-        try:
-            order, cost, nodes = _solve_frame(segments, cfg)
-        except ValueError as exc:
-            raise ValueError(f"frame {f}: {exc}") from exc
-        elapsed_ms = (time.perf_counter() - began) * 1000.0
-        score = None
-        if truth is not None:
-            score = accuracy(order, invert_permutation(truth.keys[f]))
-        results.append(FrameAttackResult(f, order, cost, nodes, elapsed_ms, score))
+        if geom.frame_size > 1:
+            try:
+                distances = build_distance_matrix(frame_pieces(block, cfg), cfg.distance)
+            except ValueError as exc:
+                raise ValueError(f"frame {first}: {exc}") from exc
+        shared_ms = (time.perf_counter() - began) * 1000.0 / len(block)
+        for f in range(first, first + len(block)):
+            began = time.perf_counter()
+            if geom.frame_size > 1:
+                report = solve_bnb(distances[f - first])
+                order, cost, nodes = report.order, report.cost, report.nodes_expanded
+            else:
+                order, cost, nodes = (0,), 0.0, 0
+            elapsed_ms = shared_ms + (time.perf_counter() - began) * 1000.0
+            score = None
+            if truth is not None:
+                score = accuracy(order, invert_permutation(truth.keys[f]))
+            results.append(FrameAttackResult(f, order, cost, nodes, elapsed_ms, score))
     keys = KeySchedule(tuple(recover_key(r.arrangement) for r in results))
     return descramble(cipher, geom, keys), results
 
@@ -173,9 +193,11 @@ def write_results_csv(path, rows: Sequence[Sequence[str]]) -> None:
 class SweepSpec:
     """Grid of scrambler geometries and channel conditions to attack.
 
-    Plaintext comes from :func:`synthesize_speechlike` at 8 kHz unless
-    ``corpus`` lists WAV paths (trial t reads corpus[t mod len]); segments
-    are framed at the plaintext's own sample rate.  Every grid point is
+    Plaintext comes from :func:`synthesize_speechlike` at 8 kHz,
+    ``duration_s`` long (10 s when None), unless ``corpus`` lists WAV paths
+    (trial t reads corpus[t mod len]), which set their own length and so
+    take no ``duration_s``; segments are framed at the plaintext's own
+    sample rate.  Every grid point is
     attacked twice, with and without predictive extension.  All seeds
     derive from ``seed``, so two runs of the same spec produce the same
     science (the solve_ms timing column is wall clock and will differ).
@@ -187,7 +209,7 @@ class SweepSpec:
     noise_at: str = "none"
     trials: int = 1
     seed: int = 0
-    duration_s: float = 10.0
+    duration_s: float | None = None
     corpus: tuple[str, ...] | None = None
     vad: bool = False
     stft: StftConfig = StftConfig()
@@ -209,6 +231,10 @@ class SweepSpec:
             raise ValueError("seed must be non-negative")
         if self.corpus is not None and not self.corpus:
             raise ValueError("corpus mode selected but no paths given")
+        if self.corpus is not None and self.duration_s is not None:
+            raise ValueError(
+                "a corpus sweep attacks whole files; duration_s is for synthetic audio"
+            )
 
     @property
     def snr_grid(self) -> tuple[float, ...]:
@@ -216,6 +242,8 @@ class SweepSpec:
 
 
 _METHODS = (("puzzle+rls", True), ("puzzle", False))
+# Seconds of synthetic plaintext per trial when the spec names none.
+_SYNTH_SECONDS = 10.0
 
 
 def sweep(spec: SweepSpec, csv_path) -> None:
@@ -231,7 +259,8 @@ def sweep(spec: SweepSpec, csv_path) -> None:
             if spec.corpus is not None:
                 plain = read_wav(spec.corpus[trial % len(spec.corpus)])
             else:
-                plain = synthesize_speechlike(spec.duration_s, synth_seed)
+                duration_s = _SYNTH_SECONDS if spec.duration_s is None else spec.duration_s
+                plain = synthesize_speechlike(duration_s, synth_seed)
             if spec.vad:
                 plain = vad_trim(plain)
             geom = ScramblerConfig(frame_size, segment_ms, plain.sample_rate)

@@ -117,6 +117,20 @@ def test_spectrogram_subcommand_writes_pgm(tmp_path, plain_wav):
     assert (out_dir / "frame002_piece3.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
 
 
+def test_spectrogram_subcommand_numbers_frames_across_blocks(tmp_path, plain_wav):
+    # one second of 2-segment frames: 12 frames, a full block of 8 and 4 more
+    out_dir = tmp_path / "pieces"
+    assert main(["spectrogram", "--input", str(plain_wav), "--output", str(out_dir),
+                 "--frame-size", "2"]) == 0
+    names = sorted(path.name for path in out_dir.glob("*.pgm"))
+    assert names == [f"frame{f:03d}_piece{k}.pgm" for f in range(12) for k in range(2)]
+    geom = ScramblerConfig(frame_size=2)
+    segments = read_wav(plain_wav).samples[9 * geom.frame_samples : 10 * geom.frame_samples]
+    pieces = frame_pieces(segments.reshape(2, -1), AttackConfig(scrambler=geom))
+    write_pgm(pieces[1], tmp_path / "want.pgm")
+    assert (out_dir / "frame009_piece1.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["keyspace", "--frames", "8"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -178,7 +192,9 @@ def _leaves(config, prefix=""):
 def test_every_config_field_is_set_from_flags(tmp_path, monkeypatch):
     """Non-default flags reach every field of the configs that attack and
     sweep build, and the geometry takes the WAV's own 16 kHz rate; a field
-    that still holds its default after this has no flag to set it."""
+    that still holds its default after this has no flag to set it.
+    ``--duration`` goes to a synthetic sweep and ``--input`` to a corpus
+    sweep, since one sweep takes only one of them."""
     wav = tmp_path / "plain16k.wav"
     write_wav(wav, synthesize_speechlike(1.0, seed=11, sample_rate=16000))
     attack_cfgs, specs = [], []
@@ -199,21 +215,41 @@ def test_every_config_field_is_set_from_flags(tmp_path, monkeypatch):
     framing = ["--frame-size", "4", "--segment-ms", "30"]
     assert main(["attack", "--input", str(wav), "--output", str(tmp_path / "est.wav"),
                  "--no-rls", *framing, *_ANALYSIS_FLAGS]) == 0
-    assert main(["sweep", "--csv", str(tmp_path / "sweep.csv"), "--snr-db", "20",
+    assert main(["sweep", "--csv", str(tmp_path / "synthetic.csv"), "--snr-db", "20",
                  "--noise-at", "source", "--trials", "2", "--seed", "3", "--duration", "2.5",
-                 "--input", str(wav), "--vad", *framing, *_ANALYSIS_FLAGS]) == 0
+                 *framing, *_ANALYSIS_FLAGS]) == 0
+    assert main(["sweep", "--csv", str(tmp_path / "corpus.csv"), "--input", str(wav), "--vad",
+                 *framing, *_ANALYSIS_FLAGS]) == 0
 
     attack_cfg, *sweep_cfgs = attack_cfgs
     defaults = dict(_leaves(AttackConfig()))
     assert [name for name, value in _leaves(attack_cfg) if value == defaults[name]] == []
     defaults = dict(_leaves(SweepSpec()))
-    assert [name for name, value in _leaves(specs[0]) if value == defaults[name]] == []
+    synthetic, corpus = specs
+    assert [name for (name, a), (_, b) in zip(_leaves(synthetic), _leaves(corpus))
+            if a == defaults[name] and b == defaults[name]] == []
     analysis = dict(stft=StftConfig(40, 30, 128), rls=RlsConfig(12, 0.99),
                     distance=DistanceConfig(2, 5))
     geom = ScramblerConfig(4, 30.0, 16000)
     assert attack_cfg == AttackConfig(scrambler=geom, use_estimation=False, **analysis)
-    assert sweep_cfgs == [AttackConfig(scrambler=geom, use_estimation=use, **analysis)
-                          for _ in range(2) for use in (True, False)]
-    assert specs == [SweepSpec(frame_sizes=(4,), segment_ms_values=(30.0,), snr_dbs=(20.0,),
-                               noise_at="source", trials=2, seed=3, duration_s=2.5,
-                               corpus=(str(wav),), vad=True, **analysis)]
+    synthetic_geom = ScramblerConfig(4, 30.0, 8000)
+    assert sweep_cfgs == [AttackConfig(scrambler=synthetic_geom, use_estimation=use, **analysis)
+                          for _ in range(2) for use in (True, False)] + [
+        AttackConfig(scrambler=geom, use_estimation=use, **analysis) for use in (True, False)
+    ]
+    framing_spec = dict(frame_sizes=(4,), segment_ms_values=(30.0,), **analysis)
+    assert synthetic == SweepSpec(snr_dbs=(20.0,), noise_at="source", trials=2, seed=3,
+                                  duration_s=2.5, **framing_spec)
+    assert corpus == SweepSpec(corpus=(str(wav),), vad=True, **framing_spec)
+
+
+def test_sweep_refuses_a_duration_for_a_corpus_file(tmp_path, plain_wav, capsys):
+    """A corpus file sets its own length; a --duration next to --input used
+    to be dropped without a word."""
+    out_csv = tmp_path / "sweep.csv"
+    code = main(["sweep", "--csv", str(out_csv), "--input", str(plain_wav), "--duration", "0.35"])
+    assert code == 2
+    assert "error: a corpus sweep attacks whole files" in capsys.readouterr().err
+    assert not out_csv.exists()
+    with pytest.raises(ValueError, match="duration_s is for synthetic audio"):
+        SweepSpec(corpus=(str(plain_wav),), duration_s=10.0)

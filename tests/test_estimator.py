@@ -105,7 +105,7 @@ def test_extend_validation():
 
 def test_extend_rejects_segment_no_longer_than_taps():
     cfg = RlsConfig(order=8)
-    with pytest.raises(ValueError, match="need a 1-d signal longer than 9 samples"):
+    with pytest.raises(ValueError, match="^segments must be longer than 9 samples$"):
         extend_segment(np.ones(9), 5, cfg)
     assert extend_segment(np.ones(10), 5, cfg).size == 20
 
@@ -114,7 +114,7 @@ def test_attack_names_the_frame_whose_segments_are_too_short():
     # 5 ms segments at 8 kHz hold 40 samples, fewer than the 53 default taps
     geom = ScramblerConfig(frame_size=4, segment_ms=5.0)
     cipher = synthesize_speechlike(geom.frame_samples / 8000.0, seed=5)
-    with pytest.raises(ValueError, match=r"^frame 0: need a 1-d signal longer than 53 samples"):
+    with pytest.raises(ValueError, match=r"^frame 0: segments must be longer than 53 samples$"):
         attack(cipher, AttackConfig(scrambler=geom))
 
 
@@ -311,9 +311,9 @@ def test_extend_frame_zero_length_and_validation():
     assert extend_frame(np.ones((3, 5)), 0).shape == (3, 5)
     with pytest.raises(ValueError, match="^length must be non-negative$"):
         extend_frame(frame, -1)
-    with pytest.raises(ValueError, match="need a 1-d signal longer than 53 samples"):
+    with pytest.raises(ValueError, match="^segments must be longer than 53 samples$"):
         extend_frame(np.ones((2, 53)), 5)
-    for bad in (np.ones(320), np.ones((2, 2, 320)), np.ones((0, 320))):
+    for bad in (np.ones(320), np.ones((2, 2, 2, 320)), np.ones((0, 320))):
         with pytest.raises(ValueError, match="^segments must be a non-empty 2-d"):
             extend_frame(bad, 5)
     with pytest.raises(ValueError, match="^segment must be one-dimensional$"):
@@ -362,3 +362,21 @@ def test_extend_frame_matches_per_side_reference_property(
     noise = np.random.Generator(np.random.PCG64(seed)).standard_normal((count, order + 1 + extra))
     segments = lfilter([1.0], [1.0, -pole], noise, axis=1)
     _assert_frame_matches_reference(segments, length, cfg)
+
+
+@pytest.mark.parametrize("seed", [7, 123])
+def test_extend_frame_of_a_stack_matches_one_frame_at_a_time(seed, caplog):
+    """An (F, N, L) stack extends to the bytes of F one-frame calls and logs
+    the same clamp warnings in the same order.  Both 10 s clips clamp at
+    N=8: seed 123 on one side of frame 20, seed 7 on several frames."""
+    x = synthesize_speechlike(10.0, seed=seed).samples
+    frames = x[: x.size // 2560 * 2560].reshape(-1, 8, 320)
+    with caplog.at_level(logging.WARNING, logger="audiojigsaw.estimator"):
+        want = [extend_frame(frame, 59) for frame in frames]
+        one_by_one = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        got = extend_frame(frames, 59)
+    assert one_by_one
+    assert [r.getMessage() for r in caplog.records] == one_by_one
+    assert got.shape == (len(frames), 8, 320 + 2 * 59)
+    assert got.tobytes() == np.stack(want).tobytes()

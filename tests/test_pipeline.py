@@ -1,5 +1,6 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,15 +19,15 @@ from audiojigsaw.pipeline import (
     sweep,
     write_results_csv,
 )
-from audiojigsaw.scrambler import ScramblerConfig, make_key_schedule, scramble
+from audiojigsaw.scrambler import KeySchedule, ScramblerConfig, make_key_schedule, scramble
 from audiojigsaw.spectrogram import StftConfig, segmented_spectrogram
 from references import quantize_pieces
 
 
-def _one_frame_cipher(seed=5, frame_size=4):
+def _cipher(seed=5, frame_size=4, frames=1):
     geom = ScramblerConfig(frame_size=frame_size)
-    plain = synthesize_speechlike(geom.frame_samples / 8000.0, seed=seed)
-    keys = make_key_schedule(seed + 1, 1, frame_size)
+    plain = synthesize_speechlike(frames * geom.frame_samples / 8000.0, seed=seed)
+    keys = make_key_schedule(seed + 1, frames, frame_size)
     return scramble(plain, geom, keys), plain, keys, geom
 
 
@@ -42,10 +43,14 @@ def test_attack_config_validation():
     assert frame_pieces(frame, AttackConfig()).shape == (8, 128, 43)
     assert frame_pieces(frame, AttackConfig(stft=small)).shape == (8, 64, 36)
     assert frame_pieces(frame, AttackConfig(use_estimation=False)).shape == (8, 128, 29)
+    assert frame_pieces(frame[None], AttackConfig()).shape == (1, 8, 128, 43)
+    for bad in (frame[0], frame[None, None]):
+        with pytest.raises(ValueError, match=r"^segments must be an \(N, L\) frame or an"):
+            frame_pieces(bad, AttackConfig())
 
 
 def test_attack_reports_and_reassembles():
-    cipher, plain, keys, geom = _one_frame_cipher()
+    cipher, plain, keys, geom = _cipher()
     cfg = AttackConfig(scrambler=geom)
     estimate, results = attack(cipher, cfg)
     assert len(results) == 1
@@ -63,7 +68,7 @@ def test_attack_reports_and_reassembles():
 
 
 def test_attack_scores_against_truth():
-    cipher, plain, keys, geom = _one_frame_cipher(seed=8)
+    cipher, plain, keys, geom = _cipher(seed=8)
     estimate, results = attack(cipher, AttackConfig(scrambler=geom), truth=keys)
     assert results[0].accuracy is not None
     assert 0.0 < results[0].accuracy <= 1.0
@@ -72,7 +77,7 @@ def test_attack_scores_against_truth():
 
 
 def test_attack_passes_partial_tail_through():
-    cipher, plain, keys, geom = _one_frame_cipher(seed=3)
+    cipher, plain, keys, geom = _cipher(seed=3)
     with_tail = AudioBuffer(np.concatenate([cipher.samples, plain.samples[:100]]), 8000)
     estimate, results = attack(with_tail, AttackConfig(scrambler=geom))
     assert len(results) == 1
@@ -80,7 +85,7 @@ def test_attack_passes_partial_tail_through():
 
 
 def test_attack_is_deterministic():
-    cipher, _, _, geom = _one_frame_cipher(seed=12)
+    cipher, _, _, geom = _cipher(seed=12)
     a, ra = attack(cipher, AttackConfig(scrambler=geom))
     b, rb = attack(cipher, AttackConfig(scrambler=geom))
     np.testing.assert_array_equal(a.samples, b.samples)
@@ -100,9 +105,11 @@ def test_attack_is_deterministic():
 def test_frame_pieces_matches_segment_by_segment_chain(cfg):
     """frame_pieces equals extending each segment on its own by window - 1
     samples, then the STFT and the per-piece reference quantization, byte
-    for byte."""
+    for byte, whether it gets one frame or a stack of them."""
     x = synthesize_speechlike(1.0, seed=7).samples
-    for frame in x[: 3 * 2560].reshape(3, 8, 320):
+    frames = x[: 3 * 2560].reshape(3, 8, 320)
+    stacked = frame_pieces(frames, cfg)
+    for frame, from_stack in zip(frames, stacked):
         if cfg.use_estimation:
             flank = cfg.stft.window_size - 1
             sequences = [extend_segment(seg, flank, cfg.rls) for seg in frame]
@@ -113,12 +120,17 @@ def test_frame_pieces_matches_segment_by_segment_chain(cfg):
         assert got.dtype == np.uint8 and got.shape == (8,) + want[0].shape
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+        assert from_stack.tobytes() == got.tobytes()
 
 
 def test_attack_calls_the_frame_stages_through_module_globals(monkeypatch):
-    # a tracer rebinds these names in the pipeline module and must see each call
+    """A tracer rebinds these names in the pipeline module and must see each
+    call, stage by stage: one extension and one distance call per block,
+    the STFT and quantization of each frame in between, then each frame's
+    solve and score."""
     calls = []
-    for name in ("extend_frame", "segmented_spectrogram", "quantize_frame"):
+    for name in ("extend_frame", "segmented_spectrogram", "quantize_frame",
+                 "build_distance_matrix", "solve_bnb", "accuracy"):
         original = getattr(pipeline, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
@@ -126,9 +138,58 @@ def test_attack_calls_the_frame_stages_through_module_globals(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, spy)
-    cipher, _, _, geom = _one_frame_cipher()
-    attack(cipher, AttackConfig(scrambler=geom))
-    assert calls == ["extend_frame", "segmented_spectrogram", "quantize_frame"]
+    cipher, _, keys, geom = _cipher(frames=3)
+    attack(cipher, AttackConfig(scrambler=geom), truth=keys)
+    assert calls == (
+        ["extend_frame"]
+        + ["segmented_spectrogram", "quantize_frame"] * 3
+        + ["build_distance_matrix"]
+        + ["solve_bnb", "accuracy"] * 3
+    )
+
+
+def _nineteen_frame_cipher():
+    """19 N=8 frames, three blocks of 8, 8 and 3: speech with a digitally
+    silent frame 9, then a 100-sample tail."""
+    geom = ScramblerConfig(frame_size=8)
+    n = geom.frame_samples
+    speech = synthesize_speechlike(18 * n / 8000.0, seed=31).samples
+    plain = np.concatenate([speech[: 9 * n], np.zeros(n), speech[9 * n :], speech[:100]])
+    keys = make_key_schedule(32, 19, 8)
+    return scramble(AudioBuffer(plain, 8000), geom, keys), keys, geom
+
+
+@pytest.mark.parametrize("use_estimation", [True, False])
+def test_attack_in_blocks_matches_attacking_each_frame_alone(use_estimation, monkeypatch):
+    cipher, keys, geom = _nineteen_frame_cipher()
+    cfg = AttackConfig(scrambler=geom, use_estimation=use_estimation)
+    stacked = []
+    original = pipeline.build_distance_matrix
+
+    def spy(pieces, *args):
+        stacked.append(len(pieces) if np.ndim(pieces) == 4 else 1)
+        return original(pieces, *args)
+
+    monkeypatch.setattr(pipeline, "build_distance_matrix", spy)
+    began = time.perf_counter()
+    estimate, results = attack(cipher, cfg, truth=keys)
+    wall_ms = (time.perf_counter() - began) * 1000.0
+    # the block bounds the stack any one stage call holds
+    assert max(stacked) <= pipeline._BLOCK_FRAMES and sum(stacked) == 19 and len(stacked) == 3
+    assert sum(r.solve_ms for r in results) <= wall_ms
+    assert [r.frame_index for r in results] == list(range(19))
+    n = geom.frame_samples
+    alone_estimates = []
+    for f, r in enumerate(results):
+        samples = cipher.samples[f * n : len(cipher) if f == 18 else (f + 1) * n]
+        truth = KeySchedule((keys.keys[f],))
+        alone_estimate, (want,) = attack(AudioBuffer(samples, 8000), cfg, truth=truth)
+        alone_estimates.append(alone_estimate.samples)
+        assert (r.arrangement, r.cost, r.solve_nodes, r.accuracy) == (
+            want.arrangement, want.cost, want.solve_nodes, want.accuracy
+        )
+    assert results[9].cost == 0.0
+    assert estimate.samples.tobytes() == np.concatenate(alone_estimates).tobytes()
 
 
 def test_attack_validation():
@@ -136,7 +197,7 @@ def test_attack_validation():
     short = AudioBuffer(np.zeros(geom.frame_samples - 1), 8000)
     with pytest.raises(ValueError):
         attack(short, AttackConfig(scrambler=geom))
-    cipher, _, keys, _ = _one_frame_cipher()
+    cipher, _, keys, _ = _cipher()
     wrong_width = make_key_schedule(1, 1, 5)
     with pytest.raises(ValueError):
         attack(cipher, AttackConfig(scrambler=geom), truth=wrong_width)

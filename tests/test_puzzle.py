@@ -114,30 +114,49 @@ def test_build_matrix_shape_and_diagonal():
         build_distance_matrix(pieces[:1])
 
 
-@pytest.mark.parametrize(
-    "n, rows, cols, cfg",
-    [
-        (8, 128, 29, DistanceConfig()),
-        (2, 1, 1, DistanceConfig(0, 0)),
-        (5, 1, 6, DistanceConfig(3, 7)),  # one-row pieces
-        (6, 10, 4, DistanceConfig(3, 12)),  # max_slide >= rows
-        (7, 16, 5, DistanceConfig(0, 3)),  # no penetration
-        (4, 9, 9, DistanceConfig(8, 9)),
-        (16, 32, 10, DistanceConfig(2, 31)),
-    ],
-)
-def test_matrix_matches_pairwise_reference_on_random_pieces(n, rows, cols, cfg):
+# (pieces, rows, cols, config): the edges of the lag range, the offset range and N.
+_SHAPES = [
+    (8, 128, 29, DistanceConfig()),
+    (2, 1, 1, DistanceConfig(0, 0)),
+    (5, 1, 6, DistanceConfig(3, 7)),  # one-row pieces
+    (6, 10, 4, DistanceConfig(3, 12)),  # max_slide >= rows
+    (7, 16, 5, DistanceConfig(0, 3)),  # no penetration
+    (4, 9, 9, DistanceConfig(8, 9)),  # cols == max_penetration + 1
+    (16, 32, 10, DistanceConfig(2, 31)),
+    (2, 128, 43, DistanceConfig()),
+    (16, 128, 43, DistanceConfig()),
+    (3, 7, 5, DistanceConfig(2, 7)),  # rows == max_slide
+    (4, 8, 5, DistanceConfig(2, 7)),  # rows == max_slide + 1
+    (5, 16, 6, DistanceConfig(2, 0)),  # no slide
+]
+
+
+def _random_pieces(n, rows, cols, frames=()):
     rng = np.random.Generator(np.random.PCG64(1000 * n + 10 * rows + cols))
-    pieces = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
+    return rng.integers(0, 256, size=(*frames, n, rows, cols), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("n, rows, cols, cfg", _SHAPES)
+def test_matrix_matches_pairwise_reference_on_random_pieces(n, rows, cols, cfg):
+    pieces = _random_pieces(n, rows, cols)
     assert np.array_equal(build_distance_matrix(pieces, cfg), _pairwise_matrix(pieces, cfg))
+
+
+@pytest.mark.parametrize("n, rows, cols, cfg", _SHAPES)
+def test_matrix_of_a_stack_matches_one_frame_at_a_time(n, rows, cols, cfg):
+    stack = _random_pieces(n, rows, cols, frames=(3,))
+    got = build_distance_matrix(stack, cfg)
+    assert got.shape == (3, n, n)
+    for d, pieces in zip(got, stack):
+        assert d.tobytes() == build_distance_matrix(pieces, cfg).tobytes()
 
 
 @pytest.mark.parametrize("extend", [False, True])
 def test_matrix_matches_pairwise_reference_on_speech(extend):
     x = synthesize_speechlike(1.0, seed=6).samples
-    for frame in x[: 3 * 8 * 320].reshape(3, 8, 320):
-        pieces = frame_pieces(frame, AttackConfig(use_estimation=extend))
-        assert np.array_equal(build_distance_matrix(pieces), _pairwise_matrix(pieces))
+    stack = frame_pieces(x[: 3 * 8 * 320].reshape(3, 8, 320), AttackConfig(use_estimation=extend))
+    for d, pieces in zip(build_distance_matrix(stack), stack):
+        assert np.array_equal(d, _pairwise_matrix(pieces))
 
 
 def _extreme_pieces():
@@ -172,11 +191,12 @@ def test_matrix_is_exact_on_extreme_pieces(name, pixels):
 
 def test_build_matrix_validation():
     square = _piece(np.zeros((3, 4, 4)))
-    not_pieces = r"^pieces must be a \(pieces, rows, cols\) uint8 array$"
+    not_pieces = r"^pieces must be a \(\[frames,\] pieces, rows, cols\) uint8 array$"
     with pytest.raises(ValueError, match=not_pieces):
         build_distance_matrix(square.astype(np.float64))
-    with pytest.raises(ValueError, match=not_pieces):
-        build_distance_matrix(square[0])
+    for bad in (square[0], square[None, None]):
+        with pytest.raises(ValueError, match=not_pieces):
+            build_distance_matrix(bad)
     with pytest.raises(ValueError, match="^pieces have 4 columns, need more than max_penetration=4$"):
         build_distance_matrix(square, DistanceConfig(max_penetration=4))
     with pytest.raises(ValueError, match="^need at least 2 pieces$"):
