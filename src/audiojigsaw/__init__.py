@@ -41,13 +41,7 @@ from .scrambler import (
     save_keys,
     scramble,
 )
-from .solver import (
-    SolveReport,
-    greedy_upper_bound,
-    min_arborescence_weight,
-    recover_key,
-    solve_bnb,
-)
+from .solver import SolveReport, recover_key, solve_bnb
 from .spectrogram import (
     StftConfig,
     hamming_window,
@@ -82,13 +76,11 @@ __all__ = [
     "extend_segment",
     "format_rows",
     "frame_pieces",
-    "greedy_upper_bound",
     "hamming_window",
     "invert_permutation",
     "keyspace_bits",
     "load_keys",
     "make_key_schedule",
-    "min_arborescence_weight",
     "quantize_frame",
     "read_wav",
     "recover_key",

@@ -80,28 +80,26 @@ def _add_analysis(p):
 def _build():
     top = _Parser(prog="audiojigsaw", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", metavar="command")
-    parsers = {}
 
     p = sub.add_parser("scramble", help="permute segments of a WAV with seeded keys")
+    p.set_defaults(run=_cmd_scramble)
     p.add_argument("--input", required=True, help="plaintext PCM 16-bit mono WAV")
     p.add_argument("--output", required=True, help="scrambled WAV to write")
     p.add_argument("--key-seed", type=int, default=0, help="seed for the per-frame keys")
     _add_framing(p)
     p.add_argument("--vad", action="store_true", help="drop low-energy windows before framing")
     p.add_argument("--keys-out", help="also save the key schedule as text")
-    p.add_argument("--config", help="file of 'name = value' option lines")
-    parsers["scramble"] = p
 
     p = sub.add_parser("descramble", help="invert scrambling given the key seed or file")
+    p.set_defaults(run=_cmd_descramble)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--key-seed", type=int, default=None, help="seed that generated the keys")
     p.add_argument("--keys-in", help="key schedule file (overrides --key-seed)")
     _add_framing(p)
-    p.add_argument("--config", help="file of 'name = value' option lines")
-    parsers["descramble"] = p
 
     p = sub.add_parser("attack", help="recover segment order from scrambled audio alone")
+    p.set_defaults(run=_cmd_attack)
     p.add_argument("--input", required=True, help="scrambled WAV")
     p.add_argument("--output", required=True, help="plaintext estimate WAV to write")
     _add_framing(p)
@@ -109,10 +107,9 @@ def _build():
     p.add_argument("--no-rls", action="store_true", help="skip predictive border extension")
     p.add_argument("--key-seed", type=int, default=None, help="true key seed, to score accuracy")
     p.add_argument("--csv", help="write per-frame results here")
-    p.add_argument("--config", help="file of 'name = value' option lines")
-    parsers["attack"] = p
 
     p = sub.add_parser("sweep", help="grid of synthetic attacks, results as CSV")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--csv", required=True, help="results file to write")
     _add_framing(p, list_valued=True)
     p.add_argument("--snr-db", type=_float_list, default=(math.inf,), help="SNR grid in dB (comma list)")
@@ -124,25 +121,23 @@ def _build():
     p.add_argument("--input", default=None, help="corpus WAV to attack instead of synthetic audio")
     p.add_argument("--vad", action="store_true", help="trim silence from the plaintext first")
     _add_analysis(p)
-    p.add_argument("--config", help="file of 'name = value' option lines")
-    parsers["sweep"] = p
 
     p = sub.add_parser("spectrogram", help="dump per-segment piece images as PGM")
+    p.set_defaults(run=_cmd_spectrogram)
     p.add_argument("--input", required=True, help="WAV to analyze")
     p.add_argument("--output", required=True, help="directory for frameNNN_pieceK.pgm files")
     _add_framing(p)
     _add_analysis(p)
     p.add_argument("--no-rls", action="store_true", help="skip predictive border extension")
-    p.add_argument("--config", help="file of 'name = value' option lines")
-    parsers["spectrogram"] = p
 
     p = sub.add_parser("keyspace", help="print bits to enumerate a conversation's keys")
+    p.set_defaults(run=_cmd_keyspace)
     p.add_argument("--minutes", type=float, default=5.0, help="conversation length")
     _add_framing(p)
-    p.add_argument("--config", help="file of 'name = value' option lines")
-    parsers["keyspace"] = p
 
-    return top, parsers
+    for p in sub.choices.values():
+        p.add_argument("--config", help="file of 'name = value' option lines")
+    return top, sub.choices
 
 
 def _scan_config(tokens):
@@ -185,47 +180,40 @@ def _apply_config(parser, path):
             action.required = False
 
 
-def _scrambler_config(ns, rate) -> ScramblerConfig:
-    return ScramblerConfig(ns.frame_size, ns.segment_ms, rate)
+def _analysis(ns) -> dict:
+    """The STFT, RLS and seam settings of attack, sweep and spectrogram."""
+    return dict(
+        stft=StftConfig(ns.win_size, ns.overlap, ns.fft_size),
+        rls=RlsConfig(ns.rls_order, ns.forgetting),
+        distance=DistanceConfig(ns.alpha_max, ns.beta_max),
+    )
 
 
 def _attack_config(ns, rate) -> AttackConfig:
     return AttackConfig(
-        scrambler=_scrambler_config(ns, rate),
-        stft=StftConfig(ns.win_size, ns.overlap, ns.fft_size),
-        rls=RlsConfig(ns.rls_order, ns.forgetting),
-        distance=DistanceConfig(ns.alpha_max, ns.beta_max),
+        scrambler=ScramblerConfig(ns.frame_size, ns.segment_ms, rate),
         use_estimation=not ns.no_rls,
+        **_analysis(ns),
     )
-
-
-def _frames_or_die(buf, geom):
-    n_frames = len(buf) // geom.frame_samples
-    if n_frames == 0:
-        raise ValueError(
-            f"input of {len(buf)} samples is shorter than one {geom.frame_samples}-sample frame"
-        )
-    return n_frames
 
 
 def _cmd_scramble(ns) -> int:
     buf = read_wav(ns.input)
     if ns.vad:
         buf = vad_trim(buf)
-    geom = _scrambler_config(ns, buf.sample_rate)
-    n_frames = _frames_or_die(buf, geom)
-    keys = make_key_schedule(ns.key_seed, n_frames, ns.frame_size)
+    geom = ScramblerConfig(ns.frame_size, ns.segment_ms, buf.sample_rate)
+    keys = make_key_schedule(ns.key_seed, geom.frame_count(len(buf)), ns.frame_size)
     write_wav(ns.output, scramble(buf, geom, keys))
     if ns.keys_out:
         save_keys(keys, ns.keys_out)
-    print(f"scrambled {n_frames} frames -> {ns.output}")
+    print(f"scrambled {len(keys)} frames -> {ns.output}")
     return 0
 
 
 def _cmd_descramble(ns) -> int:
     buf = read_wav(ns.input)
-    geom = _scrambler_config(ns, buf.sample_rate)
-    n_frames = _frames_or_die(buf, geom)
+    geom = ScramblerConfig(ns.frame_size, ns.segment_ms, buf.sample_rate)
+    n_frames = geom.frame_count(len(buf))
     if ns.keys_in:
         keys = load_keys(ns.keys_in)
     elif ns.key_seed is not None:
@@ -241,8 +229,8 @@ def _cmd_attack(ns) -> int:
     buf = read_wav(ns.input)
     cfg = _attack_config(ns, buf.sample_rate)
     truth = None
-    if ns.key_seed is not None and ns.frame_size >= 2:
-        truth = make_key_schedule(ns.key_seed, _frames_or_die(buf, cfg.scrambler), ns.frame_size)
+    if ns.key_seed is not None:
+        truth = make_key_schedule(ns.key_seed, cfg.scrambler.frame_count(len(buf)), ns.frame_size)
     estimate, results = attack(buf, cfg, truth=truth)
     write_wav(ns.output, estimate)
     method = "puzzle" if ns.no_rls else "puzzle+rls"
@@ -267,9 +255,7 @@ def _cmd_sweep(ns) -> int:
         duration_s=ns.duration,
         corpus=(ns.input,) if ns.input else None,
         vad=ns.vad,
-        stft=StftConfig(ns.win_size, ns.overlap, ns.fft_size),
-        rls=RlsConfig(ns.rls_order, ns.forgetting),
-        distance=DistanceConfig(ns.alpha_max, ns.beta_max),
+        **_analysis(ns),
     )
     sweep(spec, ns.csv)
     print(f"sweep results -> {ns.csv}")
@@ -279,7 +265,6 @@ def _cmd_sweep(ns) -> int:
 def _cmd_spectrogram(ns) -> int:
     buf = read_wav(ns.input)
     cfg = _attack_config(ns, buf.sample_rate)
-    _frames_or_die(buf, cfg.scrambler)
     frames, _ = _split_frames(buf, cfg.scrambler)
     out_dir = Path(ns.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,16 +284,6 @@ def _cmd_keyspace(ns) -> int:
     return 0
 
 
-_HANDLERS = {
-    "scramble": _cmd_scramble,
-    "descramble": _cmd_descramble,
-    "attack": _cmd_attack,
-    "sweep": _cmd_sweep,
-    "spectrogram": _cmd_spectrogram,
-    "keyspace": _cmd_keyspace,
-}
-
-
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     top, parsers = _build()
@@ -320,7 +295,7 @@ def main(argv=None) -> int:
         ns = top.parse_args(args)
         if ns.command is None:
             raise _UsageError("a subcommand is required (see --help)")
-        return _HANDLERS[ns.command](ns)
+        return ns.run(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -107,32 +107,27 @@ def attack(
     """
     geom = cfg.scrambler
     frames, _ = _split_frames(cipher, geom)
-    if len(frames) == 0:
-        raise ValueError(f"signal of {len(cipher)} samples is shorter than one frame")
     if truth is not None:
         _check_schedule(truth, geom, len(frames))
     results = []
     for first in range(0, len(frames), _BLOCK_FRAMES):
         block = frames[first : first + _BLOCK_FRAMES]
         began = time.perf_counter()
-        if geom.frame_size > 1:
-            try:
-                distances = build_distance_matrix(frame_pieces(block, cfg), cfg.distance)
-            except ValueError as exc:
-                raise ValueError(f"frame {first}: {exc}") from exc
+        try:
+            distances = build_distance_matrix(frame_pieces(block, cfg), cfg.distance)
+        except ValueError as exc:
+            raise ValueError(f"frame {first}: {exc}") from exc
         shared_ms = (time.perf_counter() - began) * 1000.0 / len(block)
-        for f in range(first, first + len(block)):
+        for f, d in enumerate(distances, first):
             began = time.perf_counter()
-            if geom.frame_size > 1:
-                report = solve_bnb(distances[f - first])
-                order, cost, nodes = report.order, report.cost, report.nodes_expanded
-            else:
-                order, cost, nodes = (0,), 0.0, 0
+            report = solve_bnb(d)
             elapsed_ms = shared_ms + (time.perf_counter() - began) * 1000.0
             score = None
             if truth is not None:
-                score = accuracy(order, invert_permutation(truth.keys[f]))
-            results.append(FrameAttackResult(f, order, cost, nodes, elapsed_ms, score))
+                score = accuracy(report.order, invert_permutation(truth.keys[f]))
+            results.append(
+                FrameAttackResult(f, report.order, report.cost, report.nodes_expanded, elapsed_ms, score)
+            )
     keys = KeySchedule(tuple(recover_key(r.arrangement) for r in results))
     return descramble(cipher, geom, keys), results
 
@@ -264,12 +259,7 @@ def sweep(spec: SweepSpec, csv_path) -> None:
             if spec.vad:
                 plain = vad_trim(plain)
             geom = ScramblerConfig(frame_size, segment_ms, plain.sample_rate)
-            n_frames = len(plain) // geom.frame_samples
-            if n_frames == 0:
-                raise ValueError(
-                    f"plaintext too short for frame size {frame_size} at {segment_ms} ms"
-                )
-            keys = make_key_schedule(key_seed, n_frames, frame_size)
+            keys = make_key_schedule(key_seed, geom.frame_count(len(plain)), frame_size)
             if spec.noise_at == "source":
                 plain = add_awgn(plain, snr_db, source_seed)
             cipher = scramble(plain, geom, keys)

@@ -20,8 +20,7 @@ from .audio_io import AudioBuffer
 class ScramblerConfig:
     """Framing geometry: segments per frame, segment duration, sample rate.
 
-    frame_size 1 is allowed as a degenerate identity scrambler so that
-    pipeline edge cases stay constructible.
+    A frame holds at least 2 segments, so every frame has an order to hide.
     """
 
     frame_size: int = 8
@@ -29,8 +28,8 @@ class ScramblerConfig:
     sample_rate: int = 8000
 
     def __post_init__(self):
-        if self.frame_size < 1:
-            raise ValueError("frame_size must be at least 1")
+        if self.frame_size < 2:
+            raise ValueError("frame_size must be at least 2")
         if self.segment_ms <= 0:
             raise ValueError("segment_ms must be positive")
         if self.sample_rate <= 0:
@@ -45,6 +44,15 @@ class ScramblerConfig:
     @property
     def frame_samples(self) -> int:
         return self.frame_size * self.segment_samples
+
+    def frame_count(self, n_samples: int) -> int:
+        """Full frames in a signal of ``n_samples`` samples; a signal without one is refused."""
+        n_frames = n_samples // self.frame_samples
+        if n_frames == 0:
+            raise ValueError(
+                f"signal of {n_samples} samples is shorter than one {self.frame_samples}-sample frame"
+            )
+        return n_frames
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ def invert_permutation(key: Sequence[int]) -> tuple[int, ...]:
 
 def _split_frames(buf: AudioBuffer, cfg: ScramblerConfig):
     """Full frames as an (n_frames, frame_size, segment_samples) view plus the tail."""
-    n_frames = len(buf) // cfg.frame_samples
+    n_frames = cfg.frame_count(len(buf))
     body = buf.samples[: n_frames * cfg.frame_samples]
     tail = buf.samples[n_frames * cfg.frame_samples :]
     return body.reshape(n_frames, cfg.frame_size, cfg.segment_samples), tail
@@ -126,7 +134,8 @@ def _gather_segments(
 def scramble(buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule) -> AudioBuffer:
     """Permute segments inside each full frame: output segment i is input segment key[i].
 
-    A trailing partial frame passes through untouched.
+    A trailing partial frame passes through untouched; a signal shorter
+    than one frame is refused.
     """
     return _gather_segments(buf, cfg, ks, ks.keys)
 

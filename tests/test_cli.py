@@ -150,8 +150,11 @@ def test_bad_input_path_is_data_error(tmp_path, capsys):
 def test_short_input_is_data_error(tmp_path, capsys):
     path = tmp_path / "tiny.wav"
     write_wav(path, AudioBuffer(np.zeros(100), 8000))
-    code = main(["scramble", "--input", str(path), "--output", str(tmp_path / "out.wav")])
-    assert code == 2
+    out = str(tmp_path / "out")
+    for args in (["scramble"], ["attack", "--key-seed", "1"], ["spectrogram"]):
+        assert main([*args, "--input", str(path), "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: signal of 100 samples is shorter than one 2560-sample frame\n"
 
 
 def test_config_file_sets_defaults_and_flags_override(tmp_path, capsys):

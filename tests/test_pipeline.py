@@ -195,21 +195,12 @@ def test_attack_in_blocks_matches_attacking_each_frame_alone(use_estimation, mon
 def test_attack_validation():
     geom = ScramblerConfig(frame_size=4)
     short = AudioBuffer(np.zeros(geom.frame_samples - 1), 8000)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^signal of 1279 samples is shorter than one 1280-sample frame$"):
         attack(short, AttackConfig(scrambler=geom))
     cipher, _, keys, _ = _cipher()
     wrong_width = make_key_schedule(1, 1, 5)
     with pytest.raises(ValueError):
         attack(cipher, AttackConfig(scrambler=geom), truth=wrong_width)
-
-
-def test_degenerate_single_piece_frame():
-    geom = ScramblerConfig(frame_size=1, segment_ms=40.0)
-    buf = synthesize_speechlike(0.04, seed=2)
-    keys_none = None
-    estimate, results = attack(buf, AttackConfig(scrambler=geom), truth=keys_none)
-    assert results[0].arrangement == (0,)
-    np.testing.assert_array_equal(estimate.samples, buf.samples)
 
 
 def test_format_rows_cells():
@@ -310,6 +301,15 @@ def test_sweep_corpus_mode(tmp_path):
     with open(path) as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 2
+
+
+def test_sweep_refuses_a_corpus_file_shorter_than_one_frame(tmp_path):
+    wav = tmp_path / "short.wav"
+    write_wav(wav, AudioBuffer(np.zeros(2559), 8000))
+    path = tmp_path / "corpus.csv"
+    with pytest.raises(ValueError, match="^signal of 2559 samples is shorter than one 2560-sample frame$"):
+        sweep(SweepSpec(corpus=(str(wav),)), path)
+    assert not path.exists()
 
 
 def test_sweep_corpus_mode_frames_at_the_file_rate(tmp_path, monkeypatch):

@@ -27,6 +27,8 @@ def test_config_sample_counts():
 def test_config_validation():
     with pytest.raises(ValueError):
         ScramblerConfig(frame_size=0)
+    with pytest.raises(ValueError, match="^frame_size must be at least 2$"):
+        ScramblerConfig(frame_size=1)
     with pytest.raises(ValueError):
         ScramblerConfig(segment_ms=-1.0)
     with pytest.raises(ValueError):
@@ -76,6 +78,15 @@ def test_round_trip_with_partial_tail():
     np.testing.assert_array_equal(out.samples[-13:], samples[-13:])
     assert not np.array_equal(out.samples[: cfg.frame_samples], samples[: cfg.frame_samples])
     np.testing.assert_array_equal(descramble(out, cfg, ks).samples, samples)
+
+
+@pytest.mark.parametrize("transform", [scramble, descramble])
+def test_signal_shorter_than_one_frame_is_refused(transform):
+    """Such a signal used to come back unchanged: the scrambler returned plaintext."""
+    cfg = ScramblerConfig(frame_size=4, segment_ms=1.0)
+    buf = AudioBuffer(np.arange(cfg.frame_samples - 1, dtype=np.float64), 8000)
+    with pytest.raises(ValueError, match="^signal of 31 samples is shorter than one 32-sample frame$"):
+        transform(buf, cfg, make_key_schedule(1, 1, 4))
 
 
 def test_scramble_rejects_mismatched_schedule():

@@ -11,13 +11,7 @@ from audiojigsaw.audio_io import AudioBuffer, synthesize_speechlike
 from audiojigsaw.pipeline import AttackConfig, attack, frame_pieces
 from audiojigsaw.puzzle import arrangement_cost, build_distance_matrix
 from audiojigsaw.scrambler import ScramblerConfig
-from audiojigsaw.solver import (
-    SolveReport,
-    greedy_upper_bound,
-    min_arborescence_weight,
-    recover_key,
-    solve_bnb,
-)
+from audiojigsaw.solver import SolveReport, min_arborescence_weight, recover_key, solve_bnb
 from references import solve_bruteforce
 
 D3 = np.array(
@@ -60,9 +54,7 @@ def test_bnb_hand_instance():
 
 def test_greedy_hand_instance():
     # chains: from 0: 0-1-2 cost 3; from 1: 1-2-0 cost 6; from 2: 2-0-1 cost 5
-    report = greedy_upper_bound(D3)
-    assert report.order == (0, 1, 2)
-    assert report.cost == 3.0
+    assert solver._greedy_chain(D3.tolist()) == ((0, 1, 2), 3.0)
 
 
 def test_arborescence_hand_instance():
@@ -232,10 +224,10 @@ def test_solvers_agree_when_arcs_are_infinite():
         exact = solve_bruteforce(d)
         for found in (solve_bnb(d), _solve_capped(d, 2)):
             assert (found.order, found.cost) == (exact.order, exact.cost)
-        greedy = greedy_upper_bound(d)
-        assert sorted(greedy.order) == list(range(n))
-        assert greedy.cost == arrangement_cost(d, greedy.order) >= exact.cost
-        greedy_infinite += greedy.cost == math.inf
+        greedy_order, greedy_cost = solver._greedy_chain(d.tolist())
+        assert sorted(greedy_order) == list(range(n))
+        assert greedy_cost == arrangement_cost(d, greedy_order) >= exact.cost
+        greedy_infinite += greedy_cost == math.inf
         if exact.cost == math.inf:
             all_infinite += 1
             assert exact.order == tuple(range(n))
@@ -407,8 +399,8 @@ def _assert_same_search(d):
     """Same greedy chain, same search, the full bound called only where the
     cheapest in-arcs close a cycle, and every expanded node's bound equal
     to the full arborescence bound bit for bit, shortcut or not."""
-    greedy, want = greedy_upper_bound(d), _reference_greedy(d)
-    assert (greedy.order, greedy.cost) == (want.order, want.cost)
+    want = _reference_greedy(d)
+    assert solver._greedy_chain(d.tolist()) == (want.order, want.cost)
     n = d.shape[0]
 
     def only_on_cycles(rows, nodes, root):
@@ -621,7 +613,7 @@ def test_solver_rejects_degenerate_input():
         solve_bruteforce(_random_matrix(np.random.default_rng(0), 11))
 
 
-@pytest.mark.parametrize("solve", [solve_bnb, solve_bruteforce, greedy_upper_bound])
+@pytest.mark.parametrize("solve", [solve_bnb, solve_bruteforce])
 def test_solver_rejects_nan(solve):
     d = D3.copy()
     d[1, 2] = np.nan
