@@ -30,10 +30,10 @@ class ScramblerConfig:
     def __post_init__(self):
         if self.frame_size < 2:
             raise ValueError("frame_size must be at least 2")
-        if self.segment_ms <= 0:
-            raise ValueError("segment_ms must be positive")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.segment_ms < math.inf:
+            raise ValueError("segment_ms must be finite and positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be finite and positive")
         if self.segment_samples < 1:
             raise ValueError("segment shorter than one sample")
 
@@ -152,11 +152,13 @@ def keyspace_bits(minutes: float, segment_ms: float, frame_size: int) -> int:
     of N segments lasting L seconds each, and every frame independently
     takes one of N! keys.  Returns ceil(log2(frames * N!)).
     """
-    if minutes <= 0 or segment_ms <= 0:
-        raise ValueError("minutes and segment_ms must be positive")
+    if not (0 < minutes < math.inf and 0 < segment_ms < math.inf):
+        raise ValueError("minutes and segment_ms must be finite and positive")
     if frame_size < 2:
         raise ValueError("frame_size must be at least 2")
     n_frames = minutes * 60.0 / (segment_ms / 1000.0 * frame_size)
+    if not 0 < n_frames < math.inf:
+        raise ValueError(f"{minutes:g} minutes of {segment_ms:g} ms segments hold no countable frames")
     bits = math.log2(n_frames) + math.log2(math.factorial(frame_size))
     return math.ceil(bits)
 

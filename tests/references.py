@@ -1,7 +1,8 @@
 """Slow, direct references that the tests hold the package's fast paths to.
 
 The attack never calls these.  Each one states a stage's definition as
-plainly as possible: the RLS recursion, the STFT of one signal, the
+plainly as possible: the RLS recursion and its closed-form end point from
+the normal equations, the STFT of one signal, the
 analysis-window coverage of a sample, the quantization of a frame piece by
 piece, the seam distance of one pair of pieces, the exhaustive frame
 solve, and the accuracy score as a sum over every shared block.
@@ -50,6 +51,29 @@ def rls_run(signal, cfg: RlsConfig = RlsConfig()) -> tuple[np.ndarray, np.ndarra
         P = 0.5 * (P + P.T)
         errors[n - taps] = err
     return w, errors
+
+
+def normal_equation_weights(signal, cfg: RlsConfig = RlsConfig()) -> np.ndarray:
+    """The weights :func:`rls_run` ends at, from the normal equations by LU.
+
+    Row i of the Hankel system is the regressor of RLS update i + 1,
+    scaled by sqrt(lambda)^(k-1-i) so that the squared errors carry the
+    forgetting weights; delta lambda^k on the diagonal of R = A^T A is what
+    is left of P(0)^-1.  One step of iterative refinement on the weighted
+    residual follows the solve, because the normal equations square the
+    condition number of the system.
+    """
+    x = np.asarray(signal, dtype=np.float64)
+    taps = cfg.order + 1
+    k = x.size - taps
+    scale = np.sqrt(cfg.forgetting) ** np.arange(k - 1, -1, -1)
+    a = np.lib.stride_tricks.sliding_window_view(x, taps)[:k, ::-1] * scale[:, None]
+    b = x[taps:] * scale
+    reg = _INIT_REG * cfg.forgetting**k
+    r = a.T @ a
+    r[np.diag_indices(taps)] += reg
+    w = np.linalg.solve(r, a.T @ b)
+    return w + np.linalg.solve(r, a.T @ (b - a @ w) - reg * w)
 
 
 def stft_magnitude(samples, cfg: StftConfig = StftConfig()) -> np.ndarray:

@@ -157,6 +157,22 @@ def test_short_input_is_data_error(tmp_path, capsys):
         assert err == "error: signal of 100 samples is shorter than one 2560-sample frame\n"
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_segment_ms_and_minutes_are_data_errors(tmp_path, plain_wav, capsys, bad):
+    out = str(tmp_path / "out.wav")
+    calls = {
+        "scramble": ["scramble", "--input", str(plain_wav), "--output", out, f"--segment-ms={bad}"],
+        "sweep": ["sweep", "--csv", str(tmp_path / "sweep.csv"), f"--segment-ms={bad}",
+                  "--duration", "0.35"],
+        "keyspace --segment-ms": ["keyspace", f"--segment-ms={bad}"],
+        "keyspace --minutes": ["keyspace", f"--minutes={bad}"],
+    }
+    for name, argv in calls.items():
+        assert main(argv) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite and positive" in err, (name, err)
+
+
 def test_config_file_sets_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("# keyspace setup\nminutes = 5\nframe-size = 10\n")

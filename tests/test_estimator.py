@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from audiojigsaw.audio_io import synthesize_speechlike
@@ -18,7 +17,7 @@ from audiojigsaw.estimator import (
 )
 from audiojigsaw.pipeline import AttackConfig, attack
 from audiojigsaw.scrambler import ScramblerConfig
-from references import rls_run
+from references import normal_equation_weights, rls_run
 
 
 def test_rls_config_validation():
@@ -241,30 +240,32 @@ def test_terminal_weights_agree_with_rls_run(order, forgetting, extra, pole, see
     assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("n", [320, 640])
+def test_terminal_weights_match_the_normal_equations_on_speech(n):
+    # the Gram recurrence and its Cholesky factor against the LU solve on A^T A they replaced
+    cfg = RlsConfig()
+    for seg in _speech_segments(n, 8000 * n // 320, 13, 12):
+        for x in (seg, seg[::-1]):
+            ref = normal_equation_weights(x, cfg)
+            got = _terminal_weights(x, cfg)
+            assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
 # --- the frame-batched extension against the per-side loop it replaced ---------
 
 
-def _reference_weights(x, cfg):
-    """Closed-form terminal weights of one side, solved on their own."""
-    taps = cfg.order + 1
-    k = x.size - taps
-    scale = np.sqrt(cfg.forgetting) ** np.arange(k - 1, -1, -1)
-    a = sliding_window_view(x, taps)[:k, ::-1] * scale[:, None]
-    b = x[taps:] * scale
-    reg = _INIT_REG * cfg.forgetting**k
-    r = a.T @ a
-    r[np.diag_indices(taps)] += reg
-    w = np.linalg.solve(r, a.T @ b)
-    return w + np.linalg.solve(r, a.T @ (b - a @ w) - reg * w)
-
-
 def _reference_extend_frame(segments, length, cfg):
-    """Extend segment by segment, side by side: (rows, clamp counts in log order)."""
+    """Extend segment by segment, side by side: (rows, clamp counts in log order).
+
+    Each side's weights come from ``_terminal_weights`` of that side alone,
+    so this pins the batched forecast loop and the stacked weight solve to
+    the bytes of one side at a time.
+    """
     rows, counts = [], []
     for seg in np.asarray(segments, dtype=np.float64):
         rev = seg[::-1]
-        future, clamped_future = _reference_forecast(seg, length, cfg, _reference_weights(seg, cfg))
-        past, clamped_past = _reference_forecast(rev, length, cfg, _reference_weights(rev, cfg))
+        future, clamped_future = _reference_forecast(seg, length, cfg, _terminal_weights(seg, cfg))
+        past, clamped_past = _reference_forecast(rev, length, cfg, _terminal_weights(rev, cfg))
         rows.append(np.concatenate([past[::-1], seg, future]))
         counts += [c for c in (clamped_future, clamped_past) if c]
     return np.array(rows), counts
@@ -380,3 +381,88 @@ def test_extend_frame_of_a_stack_matches_one_frame_at_a_time(seed, caplog):
     assert [r.getMessage() for r in caplog.records] == one_by_one
     assert got.shape == (len(frames), 8, 320 + 2 * 59)
     assert got.tobytes() == np.stack(want).tobytes()
+
+
+# --- degenerate Gram matrices: sides without a Cholesky factor ----------------
+
+
+def _lacks_a_factor(x, cfg):
+    """Whether the Cholesky factorisation of signal x's Gram matrix fails."""
+    failures = []
+    original = np.linalg.cholesky
+
+    def spy(a):
+        try:
+            return original(a)
+        except np.linalg.LinAlgError:
+            failures.append(a)
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cholesky", spy)
+        _terminal_weights(x, cfg)
+    return bool(failures)
+
+
+def _degenerate_signals(n):
+    t = np.arange(n)
+    return {
+        f"tone, {n}": 0.7 * np.sin(2.0 * np.pi * 0.05 * t),
+        f"two tones, {n}": 0.5 * np.sin(2.0 * np.pi * 0.05 * t) + 0.3 * np.sin(2.0 * np.pi * 0.13 * t),
+        f"ramp, {n}": t / n,
+        f"DC, {n}": np.full(n, 0.5),
+    }
+
+
+_SPEECH_FRAME = synthesize_speechlike(1.0, seed=7).samples[:2560].reshape(8, 320)
+# name: (segments, config)
+_DEGENERATE_CASES = {
+    "speech, forgetting 0.5": (_SPEECH_FRAME, RlsConfig(forgetting=0.5)),
+    "speech, forgetting 0.6": (_SPEECH_FRAME, RlsConfig(forgetting=0.6)),
+    **{name: (x[None], RlsConfig()) for n in (960, 1920) for name, x in _degenerate_signals(n).items()},
+    "silence": (np.zeros((2, 320)), RlsConfig()),
+    "negative zeros": (np.full((2, 320), -0.0), RlsConfig()),
+}
+
+
+def test_degenerate_cases_reach_the_fallback():
+    # delta lambda^k sinks below the Gram's rounding on all but these three;
+    # digital silence keeps R = delta lambda^k I, and DC at 960 samples keeps a factor
+    lacking = {
+        name
+        for name, (segments, cfg) in _DEGENERATE_CASES.items()
+        if any(_lacks_a_factor(side, cfg) for seg in segments for side in (seg, seg[::-1]))
+    }
+    assert set(_DEGENERATE_CASES) - lacking == {"silence", "negative zeros", "DC, 960"}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE_CASES))
+def test_extend_frame_on_degenerate_gram_matrices(name, caplog):
+    segments, cfg = _DEGENERATE_CASES[name]
+    want, counts = _reference_extend_frame(segments, 59, cfg)
+    with caplog.at_level(logging.WARNING, logger="audiojigsaw.estimator"):
+        got = extend_frame(segments, 59, cfg)
+    assert np.all(np.isfinite(got)) and np.max(np.abs(got)) <= 4.0
+    assert got.tobytes() == want.tobytes()
+    assert [r.getMessage() for r in caplog.records] == [
+        f"clamped {c} of 59 forecast samples to +/-4" for c in counts
+    ]
+
+
+def test_dc_whose_gram_is_singular_even_to_lu_continues_flat():
+    # at 1920 samples LU finds the DC Gram matrix exactly singular as well;
+    # the minimum-norm least-squares weights sum to one and continue the level
+    ext = extend_segment(np.full(1920, 0.5), 59)
+    np.testing.assert_allclose(ext, 0.5, rtol=0, atol=1e-9)
+
+
+def test_stack_with_fallback_sides_matches_each_side_alone():
+    speech = synthesize_speechlike(0.6, seed=11, sample_rate=16000).samples[:9600].reshape(10, 960)
+    stack = np.concatenate([speech[:5], np.stack(list(_degenerate_signals(960).values())), speech[5:]])
+    cfg = RlsConfig()
+    lacking = [_lacks_a_factor(x, cfg) for x in stack]
+    assert any(lacking) and not all(lacking)
+    weights = _terminal_weights(stack, cfg)
+    for x, w in zip(stack, weights):
+        assert w.tobytes() == _terminal_weights(x, cfg).tobytes()
+    _assert_frame_matches_reference(stack, 59, cfg)

@@ -192,6 +192,40 @@ def test_attack_in_blocks_matches_attacking_each_frame_alone(use_estimation, mon
     assert estimate.samples.tobytes() == np.concatenate(alone_estimates).tobytes()
 
 
+def test_attack_of_a_block_with_fallback_sides_matches_attacking_each_frame_alone(monkeypatch):
+    """Frame 1 is a pure tone: at 120 ms segments its Gram matrices have no
+    Cholesky factor and go to LU, inside a block whose speech frames do not."""
+    geom = ScramblerConfig(frame_size=4, segment_ms=120.0)
+    n = geom.frame_samples
+    speech = synthesize_speechlike(3 * n / 8000.0, seed=31).samples
+    tone = 0.7 * np.sin(2.0 * np.pi * 0.0513 * np.arange(n))
+    plain = np.concatenate([speech[:n], tone, speech[n : 3 * n]])
+    keys = make_key_schedule(8, 4, 4)
+    cipher = scramble(AudioBuffer(plain, 8000), geom, keys)
+    cfg = AttackConfig(scrambler=geom)
+    lu_calls = []
+    original = np.linalg.solve
+
+    def spy(*args):
+        lu_calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    estimate, results = attack(cipher, cfg, truth=keys)
+    assert lu_calls
+    alone_estimates = []
+    for f, r in enumerate(results):
+        lu_calls.clear()
+        samples = cipher.samples[f * n : (f + 1) * n]
+        alone_estimate, (want,) = attack(AudioBuffer(samples, 8000), cfg, truth=KeySchedule((keys.keys[f],)))
+        assert bool(lu_calls) == (f == 1)
+        alone_estimates.append(alone_estimate.samples)
+        assert (r.arrangement, r.cost, r.solve_nodes, r.accuracy) == (
+            want.arrangement, want.cost, want.solve_nodes, want.accuracy
+        )
+    assert estimate.samples.tobytes() == np.concatenate(alone_estimates).tobytes()
+
+
 def test_attack_validation():
     geom = ScramblerConfig(frame_size=4)
     short = AudioBuffer(np.zeros(geom.frame_samples - 1), 8000)

@@ -37,6 +37,14 @@ def test_config_validation():
         ScramblerConfig(segment_ms=0.01, sample_rate=8000)  # rounds to 0 samples
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_config_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="^segment_ms must be finite and positive$"):
+        ScramblerConfig(segment_ms=bad)
+    with pytest.raises(ValueError, match="^sample_rate must be finite and positive$"):
+        ScramblerConfig(sample_rate=bad)
+
+
 def test_invert_permutation_hand_case():
     # key[2] = 0 means input segment 0 sits at output slot 2
     assert invert_permutation((1, 3, 0, 2)) == (2, 0, 3, 1)
@@ -138,6 +146,22 @@ def test_keyspace_bits_validation():
         keyspace_bits(0.0, 40.0, 8)
     with pytest.raises(ValueError):
         keyspace_bits(5.0, 40.0, 1)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), float("-inf")])
+def test_keyspace_bits_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="^minutes and segment_ms must be finite and positive$"):
+        keyspace_bits(bad, 40.0, 8)
+    with pytest.raises(ValueError, match="^minutes and segment_ms must be finite and positive$"):
+        keyspace_bits(5.0, bad, 8)
+
+
+def test_keyspace_bits_refuses_a_frame_count_out_of_range():
+    # finite inputs whose frame count overflows to inf or underflows to 0
+    with pytest.raises(ValueError, match="hold no countable frames$"):
+        keyspace_bits(1e308, 40.0, 8)
+    with pytest.raises(ValueError, match="hold no countable frames$"):
+        keyspace_bits(1e-300, 1e300, 8)
 
 
 def test_many_random_round_trips():
