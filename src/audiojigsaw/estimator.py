@@ -23,8 +23,8 @@ normal equations solved by LU on the product of the Hankel matrices are
 kept as references in the tests (``tests/references.py``).
 
 ``extend_frame`` extends all 2N sides of a frame, or of a stack of F
-frames, at once: weights for all 2FN sides, solved up to 128 at a time,
-then one forecast loop over a ``(taps, 2FN)`` work window.  Each step
+frames, at once: weights for all 2FN sides in one solve, then one
+forecast loop over a ``(taps, 2FN)`` work window.  Each step
 multiplies the window by the weights and reduces over the outer axis,
 which numpy does by adding whole rows one after another: tap by tap, from
 +0.0, in the order of the per-side dot product ``w @ x[::-1]`` (its
@@ -59,13 +59,6 @@ _INIT_REG = 0.01
 # solve on the directly computed Gram matrix (16 kHz speech, 640 and 960
 # samples); two leave them 7 to 27 times closer.
 _REFINEMENTS = 2
-
-# Sides per weight solve: one attack block of 8 frames at N=8.  A solve holds
-# at most two (taps, taps) matrices per side, about 46 KB at the default
-# order, so the bound keeps it under 6 MB for any stack.  Each solve also
-# costs a fixed 1-2 ms of numpy calls, so a smaller bound costs time.
-_SOLVE_SIDES = 128
-
 
 @dataclass(frozen=True)
 class RlsConfig:
@@ -106,26 +99,16 @@ def _terminal_weights(x: np.ndarray, cfg: RlsConfig) -> np.ndarray:
 
     walking i down from T-1.  Each step scales by lambda <= 1, so rounding
     does not grow, and the work is O(T L) per side with no Hankel matrix
-    copied out.  Only the triangle i <= j is built: Cholesky, handed the
-    transpose, reads only that.  One factor per side serves the solve and
-    every refinement step.  The normal equations square the condition
-    number, so each refinement takes its residual from the data, not from
-    G: without refinement the weights can miss the minimum by 1e-10 of the
-    objective.  Every reduction runs along one side's own axis, so a
-    side's weights are the same bytes whatever shares the call; the sides
-    are solved ``_SOLVE_SIDES`` at a time.
+    copied out.  Only the triangle i <= j is built, the rest left zero:
+    Cholesky, handed the transpose, reads only that.  One factor per side
+    serves the solve and every refinement step.  The normal equations
+    square the condition number, so each refinement takes its residual
+    from the data, not from G: without refinement the weights can miss the
+    minimum by 1e-10 of the objective.  Every reduction runs along one side's own axis, so a
+    side's weights are the same bytes whatever shares the call.
     """
     x = np.asarray(x, dtype=np.float64)
-    sides = x.reshape(-1, x.shape[-1])
-    weights = [
-        _solve_weights(np.ascontiguousarray(sides[first : first + _SOLVE_SIDES]), cfg)
-        for first in range(0, len(sides), _SOLVE_SIDES)
-    ]
-    return np.concatenate(weights).reshape(*x.shape[:-1], cfg.order + 1)
-
-
-def _solve_weights(sides: np.ndarray, cfg: RlsConfig) -> np.ndarray:
-    """``_terminal_weights`` of the contiguous ``(S, L)`` stack ``sides``."""
+    sides = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
     taps = cfg.order + 1
     lam = cfg.forgetting
     k = sides.shape[-1] - taps
@@ -148,18 +131,18 @@ def _solve_weights(sides: np.ndarray, cfg: RlsConfig) -> np.ndarray:
         errors = sides[:, taps:] - np.einsum("snm,sm->sn", regressors, w[:, ::-1].copy())
         rho = np.einsum("snm,sn->sm", regressors, decay * errors)[:, ::-1] - reg * w
         w += _solve(lower, upper, fallback, rho)
-    return w
+    return w.reshape(*x.shape[:-1], taps)
 
 
 def _gram(sides: np.ndarray, taps: int, lam: float, decay: np.ndarray) -> np.ndarray:
     """The augmented Gram matrices G of ``_terminal_weights``, one per side.
 
     Entry ``[s, i, j]`` holds G[i][j] of side s for i <= j, with
-    ``decay[n]`` = c_n; the lower triangle stays unset.
+    ``decay[n]`` = c_n; the lower triangle stays zero.
     """
     k = decay.size
     fade = lam**k
-    gram = np.empty((len(sides), taps + 1, taps + 1))
+    gram = np.zeros((len(sides), taps + 1, taps + 1))
     windows = sliding_window_view(sides, taps + 1, axis=-1)
     gram[:, ::-1, taps] = np.einsum("sn,snm->sm", decay * sides[:, :k], windows)
     tail = sides[:, : -taps - 1 : -1].copy()

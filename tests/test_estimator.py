@@ -456,6 +456,27 @@ def test_dc_whose_gram_is_singular_even_to_lu_continues_flat():
     np.testing.assert_allclose(ext, 0.5, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("forgetting", [0.97, 0.5])
+def test_weights_ignore_the_half_of_the_gram_that_is_not_built(forgetting, monkeypatch):
+    """_gram builds one triangle of each Gram matrix and Cholesky reads only
+    that one: NaN in the other half leaves every weight's bytes alone, on
+    the batched factor and on the fallback of sides without one (0.5)."""
+    cfg = RlsConfig(forgetting=forgetting)
+    want = _terminal_weights(_SPEECH_FRAME, cfg)
+    original = np.linalg.cholesky
+
+    def poisoned(a):
+        a = np.array(a)
+        rows, cols = np.triu_indices(a.shape[-1], 1)
+        a[..., rows, cols] = np.nan
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", poisoned)
+    got = _terminal_weights(_SPEECH_FRAME, cfg)
+    assert np.all(np.isfinite(got))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_stack_with_fallback_sides_matches_each_side_alone():
     speech = synthesize_speechlike(0.6, seed=11, sample_rate=16000).samples[:9600].reshape(10, 960)
     stack = np.concatenate([speech[:5], np.stack(list(_degenerate_signals(960).values())), speech[5:]])
