@@ -150,7 +150,9 @@ def keyspace_bits(minutes: float, segment_ms: float, frame_size: int) -> int:
 
     A conversation of ``minutes`` minutes holds minutes*60 / (L * N) frames
     of N segments lasting L seconds each, and every frame independently
-    takes one of N! keys.  Returns ceil(log2(frames * N!)).
+    takes one of N! keys.  Returns ceil(log2(frames * N!)).  A conversation
+    shorter than one frame is refused, as :meth:`ScramblerConfig.frame_count`
+    refuses a signal without a full frame.
     """
     if not (0 < minutes < math.inf and 0 < segment_ms < math.inf):
         raise ValueError("minutes and segment_ms must be finite and positive")
@@ -159,6 +161,8 @@ def keyspace_bits(minutes: float, segment_ms: float, frame_size: int) -> int:
     n_frames = minutes * 60.0 / (segment_ms / 1000.0 * frame_size)
     if not 0 < n_frames < math.inf:
         raise ValueError(f"{minutes:g} minutes of {segment_ms:g} ms segments hold no countable frames")
+    if n_frames < 1:
+        raise ValueError(f"{minutes:g} minutes is shorter than one {segment_ms * frame_size:g} ms frame")
     bits = math.log2(n_frames) + math.log2(math.factorial(frame_size))
     return math.ceil(bits)
 

@@ -4,9 +4,33 @@ Reassembling one frame is an open-path traveling-salesman problem on the
 directed seam-distance matrix: find the order of all pieces whose summed
 consecutive distances is smallest.  Frames are small (usually 8 to 16
 pieces), so the problem is solved exactly with best-first branch and
-bound.  The upper bound comes from nearest-neighbor chains, the lower
-bound from minimum spanning arborescences, which relax a Hamiltonian path
-into any spanning out-tree and can therefore never overshoot.
+bound.  The upper bound comes from nearest-neighbor chains.  The lower
+bound depends on the frame's size alone.
+
+Up to ``_TABLE_MAX_PIECES`` = 12 pieces it is exact: a Held-Karp table
+(:func:`_completion_table`) holds the cheapest completion of every
+(endpoint, unplaced set) state, n * 2**(n - 1) of them, built by numpy in
+one pass per set size.  A node's bound is then its cost plus one table
+entry, and the search expands about one node per piece.  Solve times in
+ms (total / median / worst frame) on plain ``puzzle`` speech frames from
+synth seeds 7 and 11, each frame solved three times per bound
+alternately, on a shared 2-core host:
+
+    ==  ======  ==================  ==================
+    n   frames  arborescence        completion table
+    ==  ======  ==================  ==================
+    8   62      50.6 / 0.57 / 5.1   17.3 / 0.27 / 0.58
+    10  50      131 / 1.7 / 23      44 / 0.88 / 1.2
+    12  40      370 / 3.1 / 105     134 / 3.2 / 8.4
+    13  38      501 / 5.4 / 84      277 / 7.3 / 8.8
+    14  34      626 / 9.6 / 102     664 / 19.5 / 21.5
+    ==  ======  ==================  ==================
+
+The table grows as 2**n, so above 12 pieces it raises the median frame
+(``BENCH_13.json`` holds these runs).  There the bound is the minimum
+spanning arborescence, which relaxes a
+Hamiltonian path into any spanning out-tree and can therefore never
+overshoot.
 
 The arborescence is computed only where nothing cheaper decides.  Its
 first step, every unplaced piece's cheapest in-arc, is itself a lower
@@ -15,7 +39,8 @@ contraction.  When those in-arcs form a tree, their sum *is* the
 arborescence weight, term for term and in the same order, so the
 contraction runs only for children whose cheapest in-arcs close a cycle.
 Orders, costs and node counts are those of a search that computes the
-full bound for every child.
+full arborescence bound for every child.  Both bounds give the same
+orders and costs; the table's node counts are lower.
 
 Cost ties between arrangements are broken toward the lexicographically
 smallest order, in the search and in the exhaustive oracle in the tests,
@@ -26,23 +51,26 @@ complete into arrangements that cost at least as much and sort later, so
 none of them can win.  Silent frames, whose matrices are all ties, then
 take one branch instead of every one.
 
-A path's cost is summed left to right, the bound in contraction order, so
-in floating point a bound can exceed the cost of a path it bounds by a few
-units in the last place.  Every bound is therefore lowered by a relative
+A path's cost is summed left to right, the bound in another order (the
+table's completions right to left, the arborescence in contraction order),
+so in floating point a bound can exceed the cost of a path it bounds by a
+few units in the last place.  Every bound is therefore lowered by a relative
 slack gamma before it is compared with a cost (see :func:`_rounding_slack`);
 matrices whose sums are all exact, such as silent frames, need no slack.
 
-The search and its bound run on plain Python floats: the matrix is
-converted once per solve with ``tolist()``.  At 16 pieces or fewer every
-step touches a handful of numbers, so numpy's per-call overhead would cost
-more than the arithmetic.  The conversion is exact, and the bound keeps the
-tie rules and operand order of a numpy contraction (the reference in the
-tests), so orders, costs, node counts and bound values are bit-identical
-to a search that runs on numpy.
+The search and its bounds run on plain Python floats: the matrix, and the
+completion table where there is one, are converted once per solve with
+``tolist()``.  At 16 pieces or fewer every step touches a handful of
+numbers, so numpy's per-call overhead would cost more than the arithmetic.
+The conversion is exact, and the arborescence bound keeps the tie rules
+and operand order of a numpy contraction (the reference in the tests), so
+orders, costs, node counts and bound values are bit-identical to a search
+that runs on numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -54,6 +82,9 @@ from .scrambler import invert_permutation
 
 # Frontier entries past which the best-first search continues depth-first.
 _FRONTIER_CAP = 1_000_000
+
+# Frames of at most this many pieces are bounded by the exact completion table.
+_TABLE_MAX_PIECES = 12
 
 
 @dataclass(frozen=True)
@@ -73,6 +104,8 @@ def _validated(d) -> np.ndarray:
         raise ValueError("need at least 2 pieces")
     if np.isnan(d).any():
         raise ValueError("distance matrix must not contain NaN")
+    if np.isneginf(d).any():
+        raise ValueError("distance matrix must not contain -inf")
     return d
 
 
@@ -207,6 +240,51 @@ def _first_cycle(parent: list[int], state: list[int]) -> list[int] | None:
     return None
 
 
+@functools.cache
+def _table_layers(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Index arrays of the completion table's layers |S| = 1 .. n - 1 for n pieces.
+
+    A layer's m sets S ascend, and so do the pieces j outside each set and
+    the s pieces k inside it.  ``target`` holds the flat indices S*n + j of
+    the layer's states, set by set; ``source`` (s, m) the flat index of
+    H[S - k][k]; ``arc`` (s, m, n - s) the flat index of d[j][k].  Built at
+    first use and kept per n, never at import.
+    """
+    sets = np.arange(1 << n)
+    members = (sets[:, None] >> np.arange(n) & 1).astype(bool)
+    sizes = members.sum(axis=1)
+    layers = []
+    for s in range(1, n):
+        layer, member = sets[sizes == s], members[sizes == s]
+        k = np.nonzero(member)[1].reshape(-1, s).T  # (s, m): each set's pieces
+        j = np.nonzero(~member)[1].reshape(-1, n - s)  # (m, n - s): the pieces outside it
+        target = (layer[:, None] * n + j).ravel()
+        layers.append((target, (layer - (1 << k)) * n + k, k[:, :, None] + j * n))
+    return layers
+
+
+def _completion_table(d: np.ndarray) -> list[float]:
+    """Cheapest completion of every search state, as Python floats (Held-Karp).
+
+    Entry S*n + j, for a set S of pieces and a piece j outside it, is
+    H[S][j]: the cheapest path from j through every piece of S, its arcs
+    summed right to left, so H[S][j] = min over k in S of fl(d[j][k] +
+    H[S - k][k]), and H[{}][j] = 0 (Held & Karp, *J. SIAM* 1962; Bellman,
+    *JACM* 1962).  Rounding is monotonic, so each entry is the minimum of
+    the right-to-left sums over all orders of S.  Layer |S| = s is two
+    gathers, one add and one minimum over all of its states; entries with j
+    in S stay +inf and are never read.  ``d`` must hold no NaN or -inf.
+    """
+    n = d.shape[0]
+    table = np.full((1 << n) * n, np.inf)
+    table[:n] = 0.0
+    arcs = d.ravel()
+    for target, source, arc in _table_layers(n):
+        paths = arcs[arc] + table[source][:, :, None]
+        table[target] = paths.reshape(len(source), -1).min(axis=0)
+    return table.tolist()
+
+
 def _rounding_slack(d: np.ndarray) -> float:
     """Relative slack gamma by which the search lowers a bound before comparing it with a cost.
 
@@ -216,9 +294,19 @@ def _rounding_slack(d: np.ndarray) -> float:
     most (m - 1)u relative to the exact sum, to first order (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4).
     The search sums C left to right over n - 1 arcs, so the rounded C is at
-    least C(1 - (n - 2)u).  The bound sums the prefix arcs and the
-    contraction's terms, at most 2n - 3 non-negative terms (an in-arc per
-    node and level plus a cost per cycle), so the sum order adds at most
+    least C(1 - (n - 2)u).
+
+    The table bound is fl(cost + H), with the prefix's cost summed left to
+    right and the table entry H the smallest right-to-left sum over the
+    completions.  Rounding is monotonic, so for every completion that bound
+    is at most fl(cost + its right-to-left sum): one summation order of the
+    path's n - 1 arcs, at most (1 + (n - 2)u) times the path's exact cost.
+    Lowered by gamma = 4nu, it never exceeds C(1 - (n - 2)u), with over
+    2nu to spare.
+
+    The arborescence bound sums the prefix arcs and the contraction's
+    terms, at most 2n - 3 non-negative terms (an in-arc per node and level
+    plus a cost per cycle), so the sum order adds at most
     (2n - 4)u.  Its terms at deeper levels are rounded differences of
     arcs, at most n - 2 of them per arc (one per level), each off by at
     most u of a non-negative result no larger than the arc, adding at most
@@ -246,27 +334,14 @@ def _rounding_slack(d: np.ndarray) -> float:
     return 4 * n * 2.0**-53
 
 
-def solve_bnb(
-    d, on_expand: Callable[[tuple[int, ...], float, float], None] | None = None
-) -> SolveReport:
-    """Exact best-first branch and bound over piece orders.
+def _arborescence_bound(
+    rows: list[list[float]], dominated: Callable[[float, tuple[int, ...]], bool]
+) -> Callable[[float, tuple[int, ...], int], float | None]:
+    """The search's bound for frames above ``_TABLE_MAX_PIECES`` pieces.
 
-    Nodes are partial orders; a node's bound is its accumulated cost plus
-    the minimum spanning arborescence over its endpoint and the unplaced
-    pieces, rooted at the endpoint.  The frontier pops the smallest bound
-    first (ties: deeper node, then lexicographically smaller prefix).  The
-    root branches over every possible starting piece, and the incumbent
-    starts as the best nearest-neighbor chain (:func:`_greedy_chain`).
-
-    A node is pruned when its bound exceeds the incumbent's cost, or
-    equals it while its prefix sorts after the incumbent's prefix of the
-    same length.  The bound never overshoots, so every completion of such
-    a node costs at least the incumbent and is lexicographically larger:
-    it can neither beat the incumbent nor win the tie-break against it.
-    The incumbent only ever improves, so a node pruned against an earlier
-    incumbent stays pruned against the final one.  Bounds are lowered by
-    :func:`_rounding_slack` before every comparison, so rounding cannot
-    make a bound overshoot either.
+    Returns ``open_bound(cost, prefix, unplaced_mask)``: the node's cost
+    plus the arborescence weight over its endpoint and unplaced pieces, or
+    None when ``dominated`` prunes it (see :func:`solve_bnb`).
 
     Each node is first tested on the cheapest in-arc of every unplaced
     piece: the first step of Chu-Liu/Edmonds, with parents picked by
@@ -277,21 +352,8 @@ def solve_bnb(
     bit for bit, and :func:`min_arborescence_weight` runs only for nodes
     whose cheapest in-arcs close a cycle.  Each column's sources are ranked
     once per solve, so finding a cheapest in-arc rarely scans.
-
-    If the frontier outgrows ``_FRONTIER_CAP`` entries the search degrades
-    to depth-first under the same bound, which trades order of exploration
-    for memory and cannot affect the returned optimum.
-
-    ``on_expand`` (mainly for tests) sees (prefix, cost_so_far, bound) for
-    every expanded internal node.
     """
-    d = _validated(d)
-    n = d.shape[0]
-    rows = d.tolist()
-    inc_order, inc_cost = _greedy_chain(rows)
-    gamma = _rounding_slack(d)
-
-    all_mask = (1 << n) - 1
+    n = len(rows)
     # in_ranked[v]: the other pieces, cheapest arc into v first, ties to the lower index.
     in_ranked = [[u for _, u in sorted((rows[u][v], u) for u in range(n) if u != v)] for v in range(n)]
     # (endpoint, unplaced_mask) -> (lower bound on the arborescence weight, whether it is that weight)
@@ -318,15 +380,7 @@ def solve_bnb(
             total += weight
         return total, _first_cycle(parent, state) is None
 
-    def lowered(bound: float) -> float:
-        return bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
-
-    def dominated(bound: float, prefix: tuple[int, ...]) -> bool:
-        bound = lowered(bound)
-        return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
-
     def open_bound(cost: float, prefix: tuple[int, ...], unplaced_mask: int) -> float | None:
-        """The node's bound, or None when it is pruned."""
         endpoint = prefix[-1]
         key = (endpoint, unplaced_mask)
         cached = bound_cache.get(key)
@@ -339,6 +393,70 @@ def solve_bnb(
             bound_cache[key] = (weight, True)
         bound = cost + weight
         return None if dominated(bound, prefix) else bound
+
+    return open_bound
+
+
+def solve_bnb(
+    d, on_expand: Callable[[tuple[int, ...], float, float], None] | None = None
+) -> SolveReport:
+    """Exact best-first branch and bound over piece orders.
+
+    Nodes are partial orders; a node's bound is its accumulated cost plus
+    a lower bound on completing it from its endpoint through the unplaced
+    pieces.  Frames of up to ``_TABLE_MAX_PIECES`` = 12 pieces take the
+    exact completion from :func:`_completion_table`; larger ones the
+    minimum spanning arborescence over the endpoint and the unplaced
+    pieces, rooted at the endpoint (the module docstring holds the solve
+    times behind that cap).  The frontier pops the smallest bound
+    first (ties: deeper node, then lexicographically smaller prefix).  The
+    root branches over every possible starting piece, and the incumbent
+    starts as the best nearest-neighbor chain (:func:`_greedy_chain`).
+
+    A node is pruned when its bound exceeds the incumbent's cost, or
+    equals it while its prefix sorts after the incumbent's prefix of the
+    same length.  The bound never overshoots, so every completion of such
+    a node costs at least the incumbent and is lexicographically larger:
+    it can neither beat the incumbent nor win the tie-break against it.
+    The incumbent only ever improves, so a node pruned against an earlier
+    incumbent stays pruned against the final one.  Bounds are lowered by
+    :func:`_rounding_slack` before every comparison, so rounding cannot
+    make a bound overshoot either.
+
+    The arborescence bound runs the contraction only where a cheaper test
+    cannot decide (:func:`_arborescence_bound`).
+
+    If the frontier outgrows ``_FRONTIER_CAP`` entries the search degrades
+    to depth-first under the same bound, which trades order of exploration
+    for memory and cannot affect the returned optimum.
+
+    ``on_expand`` (mainly for tests) sees (prefix, cost_so_far, bound) for
+    every expanded internal node.
+    """
+    d = _validated(d)
+    n = d.shape[0]
+    rows = d.tolist()
+    inc_order, inc_cost = _greedy_chain(rows)
+    gamma = _rounding_slack(d)
+    all_mask = (1 << n) - 1
+
+    def lowered(bound: float) -> float:
+        return bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
+
+    def dominated(bound: float, prefix: tuple[int, ...]) -> bool:
+        bound = lowered(bound)
+        return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
+
+    if n <= _TABLE_MAX_PIECES:
+        table = _completion_table(d)
+
+        def open_bound(cost: float, prefix: tuple[int, ...], unplaced_mask: int) -> float | None:
+            """The node's bound, or None when it is pruned."""
+            bound = cost + table[unplaced_mask * n + prefix[-1]]
+            return None if dominated(bound, prefix) else bound
+
+    else:
+        open_bound = _arborescence_bound(rows, dominated)
 
     # Heap entries: (bound, -depth, prefix, cost_so_far, unplaced_mask).
     frontier: list[tuple[float, int, tuple[int, ...], float, int]] = []

@@ -5,7 +5,8 @@ plainly as possible: the RLS recursion and its closed-form end point from
 the normal equations, the STFT of one signal, the
 analysis-window coverage of a sample, the quantization of a frame piece by
 piece, the seam distance of one pair of pieces, the exhaustive frame
-solve, and the accuracy score as a sum over every shared block.
+solve, the search's completion table by enumeration, and the accuracy
+score as a sum over every shared block.
 """
 
 from __future__ import annotations
@@ -205,6 +206,33 @@ def solve_bruteforce(d, max_pieces: int = 10) -> SolveReport:
             best_cost = float(costs[pick])
             best_order = tuple(int(v) for v in chunk[pick])
     return SolveReport(best_order, arrangement_cost(d, best_order), examined)
+
+
+def completion_table_by_enumeration(d) -> dict[tuple[int, int], float]:
+    """Cheapest completion of every search state, over every order of its pieces.
+
+    Entry (S, j), for a bitmask S of pieces and a piece j outside it, is the
+    smallest cost of a path that starts at j and visits the pieces of S in
+    some order p, its arcs summed right to left from 0.0:
+    d[j][p0] + (d[p0][p1] + (... + (d[p[-2]][p[-1]] + 0.0))).  The empty
+    set costs 0.0.  Enumerates sum over S of |S|! orders per piece.
+    """
+    rows = _validated(d).tolist()
+    n = len(rows)
+    table = {}
+    for j in range(n):
+        others = [k for k in range(n) if k != j]
+        for size in range(n):
+            for members in itertools.combinations(others, size):
+                best = math.inf
+                for order in itertools.permutations(members):
+                    path = (j,) + order
+                    total = 0.0
+                    for a, b in reversed(list(zip(path, path[1:]))):
+                        total = rows[a][b] + total
+                    best = min(best, total)
+                table[sum(1 << k for k in members), j] = best
+    return table
 
 
 def sub_block_matches(found, correct, block_len: int) -> int:

@@ -173,6 +173,14 @@ def test_non_finite_segment_ms_and_minutes_are_data_errors(tmp_path, plain_wav, 
         assert err.startswith("error: ") and "must be finite and positive" in err, (name, err)
 
 
+def test_keyspace_of_less_than_one_frame_is_a_data_error(capsys):
+    # it used to print -7 bits
+    assert main(["keyspace", "--minutes", "1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1e-09 minutes is shorter than one 320 ms frame\n"
+
+
 def test_config_file_sets_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("# keyspace setup\nminutes = 5\nframe-size = 10\n")

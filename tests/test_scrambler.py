@@ -164,6 +164,14 @@ def test_keyspace_bits_refuses_a_frame_count_out_of_range():
         keyspace_bits(1e-300, 1e300, 8)
 
 
+def test_keyspace_bits_refuses_less_than_one_frame():
+    # 0.06 s is a fifth of a 320 ms frame; it used to count 13 bits
+    with pytest.raises(ValueError, match="^0.001 minutes is shorter than one 320 ms frame$"):
+        keyspace_bits(0.001, 40.0, 8)
+    # 0.6 s holds 1.875 frames: ceil(log2(1.875 * 8!)) = 17
+    assert keyspace_bits(0.01, 40.0, 8) == 17
+
+
 def test_many_random_round_trips():
     rng = np.random.Generator(np.random.PCG64(2024))
     for _ in range(25):

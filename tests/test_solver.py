@@ -12,7 +12,7 @@ from audiojigsaw.pipeline import AttackConfig, attack, frame_pieces
 from audiojigsaw.puzzle import arrangement_cost, build_distance_matrix
 from audiojigsaw.scrambler import ScramblerConfig
 from audiojigsaw.solver import SolveReport, min_arborescence_weight, recover_key, solve_bnb
-from references import solve_bruteforce
+from references import completion_table_by_enumeration, solve_bruteforce
 
 D3 = np.array(
     [
@@ -262,9 +262,11 @@ def _seed7_frames(extend, n=8, count=6):
 
 @pytest.mark.parametrize("extend", [False, True])
 def test_search_matches_search_with_numpy_bound(extend, monkeypatch):
-    """On quantized speech frames the search returns the same order, cost
-    and node count as with the numpy bound, which it must reach through
-    the module global (the tracer wraps that name), on the same children."""
+    """On quantized speech frames the arborescence search (the table's cap
+    patched below N=8) returns the same order, cost and node count as with
+    the numpy bound, which it must reach through the module global (the
+    tracer wraps that name), on the same children."""
+    monkeypatch.setattr(solver, "_TABLE_MAX_PIECES", 1)
     frames = list(_seed7_frames(extend))
     fast_calls, slow_calls = [], []
 
@@ -396,12 +398,16 @@ def _reference_greedy(d):
 
 
 def _assert_same_search(d):
-    """Same greedy chain, same search, the full bound called only where the
-    cheapest in-arcs close a cycle, and every expanded node's bound equal
-    to the full arborescence bound bit for bit, shortcut or not."""
+    """Same greedy chain as a fresh minimum per step.  On the arborescence
+    path (the table's cap patched below n), the same search as the full
+    bound: that bound called only where the cheapest in-arcs close a cycle,
+    every expanded node's bound equal to it bit for bit, shortcut or not,
+    and the same node counts.  On the table path, the same order and cost
+    as the full-bound search and, up to 8 pieces, as exhaustive search."""
     want = _reference_greedy(d)
     assert solver._greedy_chain(d.tolist()) == (want.order, want.cost)
     n = d.shape[0]
+    exact = solve_bruteforce(d) if n <= 8 else None
 
     def only_on_cycles(rows, nodes, root):
         assert _cheapest_in_arcs_close_a_cycle(d, nodes, root)
@@ -412,12 +418,17 @@ def _assert_same_search(d):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "min_arborescence_weight", only_on_cycles)
             patch.setattr(solver, "_FRONTIER_CAP", frontier_cap)
+            patch.setattr(solver, "_TABLE_MAX_PIECES", 1)
             got = solve_bnb(d, on_expand=lambda *node: seen.append(node))
         for prefix, cost, bound in seen:
             nodes = [prefix[-1]] + [j for j in range(n) if j not in prefix]
             assert bound == cost + _reference_min_arborescence_weight(d, nodes, prefix[-1])
         want = _reference_solve_bnb(d, frontier_cap=frontier_cap)
         assert (got.order, got.cost, got.nodes_expanded) == (want.order, want.cost, want.nodes_expanded)
+        tabled = _solve_capped(d, frontier_cap)
+        assert (tabled.order, tabled.cost) == (want.order, want.cost)
+        if exact is not None:
+            assert (tabled.order, tabled.cost) == (exact.order, exact.cost)
 
 
 @pytest.mark.parametrize("extend", [False, True])
@@ -425,7 +436,8 @@ def _assert_same_search(d):
 def test_search_matches_full_bound_search_on_speech(n, count, extend):
     """The in-arc pre-filter and the acyclic shortcut change nothing: the
     same orders, costs and node counts as computing the full bound for
-    every child, and the same greedy chains as a fresh minimum per step."""
+    every child, and the same greedy chains as a fresh minimum per step.
+    The completion table changes node counts only."""
     for d in _seed7_frames(extend, n, count):
         _assert_same_search(d)
 
@@ -450,6 +462,45 @@ def _integer_tie_matrices(seed, count):
 def test_search_matches_full_bound_search_on_degenerate_matrices(name, matrices):
     for d in matrices():
         _assert_same_search(d)
+
+
+@st.composite
+def _table_matrices(draw):
+    n = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["uniform", "ties", "inf", "mixed sign"]))
+    if kind == "uniform":
+        value = st.floats(0.0, 1.0)
+    elif kind == "ties":
+        value = st.integers(0, draw(st.integers(0, 3))).map(float)
+    elif kind == "inf":
+        value = st.one_of(st.just(math.inf), st.integers(0, 3).map(float), st.floats(0.0, 1.0))
+    else:
+        value = st.one_of(st.just(math.inf), st.sampled_from(_POOL + [-x for x in _POOL]))
+    d = np.array(draw(st.lists(value, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        np.fill_diagonal(d, np.inf)
+    return d
+
+
+@settings(max_examples=120, deadline=None)
+@given(d=_table_matrices())
+def test_completion_table_matches_enumeration(d):
+    """Every entry the search can read, H[S][j] for j outside S, is the
+    cheapest right-to-left sum over the orders of S, bit for bit."""
+    n = d.shape[0]
+    table = solver._completion_table(d)
+    assert len(table) == n << n and all(type(v) is float for v in table)
+    for (members, j), want in completion_table_by_enumeration(d).items():
+        assert table[members * n + j] == want, (members, j)
+
+
+def test_completion_table_hand_instance():
+    # the cheapest path from j through both other pieces: 0-1-2 costs 3,
+    # 1-2-0 costs 6 and 2-0-1 costs 5 (test_bruteforce_hand_instance)
+    table = solver._completion_table(D3)
+    assert [table[0b110 * 3 + 0], table[0b101 * 3 + 1], table[0b011 * 3 + 2]] == [3.0, 6.0, 5.0]
+    assert [table[0b010 * 3 + 0], table[0b100 * 3 + 1], table[0b001 * 3 + 2]] == [1.0, 2.0, 4.0]
+    assert table[:3] == [0.0, 0.0, 0.0]
 
 
 def test_bnb_matches_bruteforce_small():
@@ -494,6 +545,24 @@ def test_all_tied_matrix_takes_one_branch(d):
     assert report.order == tuple(range(n))
     assert report.cost == d[0, 1] * (n - 1)
     assert report.nodes_expanded <= 2 * n
+
+
+def test_table_bounds_frames_of_up_to_12_pieces_and_the_arborescence_larger_ones(monkeypatch):
+    """The bound is chosen by the frame's size alone: no N=12 speech frame
+    reaches the contraction, and N=13 frames do."""
+    calls = []
+
+    def counted(d, nodes, root):
+        calls.append(len(nodes))
+        return min_arborescence_weight(d, nodes, root)
+
+    monkeypatch.setattr(solver, "min_arborescence_weight", counted)
+    for d in _seed7_frames(False, 12, 3):
+        solve_bnb(d)
+    assert calls == []
+    for d in _seed7_frames(False, 13, 3):
+        solve_bnb(d)
+    assert calls and max(calls) <= 13
 
 
 def test_attack_orders_a_silent_frame_as_identity():
@@ -618,6 +687,17 @@ def test_solver_rejects_nan(solve):
     d = D3.copy()
     d[1, 2] = np.nan
     with pytest.raises(ValueError, match="^distance matrix must not contain NaN$"):
+        solve(d)
+
+
+@pytest.mark.parametrize("solve", [solve_bnb, solve_bruteforce])
+def test_solver_rejects_negative_infinity(solve):
+    # seam distances are never -inf, and in the completion table a -inf arc
+    # added to a +inf partial sum would give NaN
+    d = D3.copy()
+    d[0, 2] = d[2, 1] = np.inf
+    d[1, 0] = -np.inf
+    with pytest.raises(ValueError, match="^distance matrix must not contain -inf$"):
         solve(d)
 
 
