@@ -3,9 +3,10 @@
 Reassembling one frame is an open-path traveling-salesman problem on the
 directed seam-distance matrix: find the order of all pieces whose summed
 consecutive distances is smallest.  Frames are small (usually 8 to 16
-pieces), so the problem is solved exactly with best-first branch and
-bound.  The upper bound comes from nearest-neighbor chains.  The lower
-bound depends on the frame's size alone.
+pieces), so the problem is solved exactly with depth-first branch and
+bound, whose stack holds at most n(n + 1)/2 nodes (Zhang & Korf,
+*Artificial Intelligence* 79, 1995).  The upper bound comes from
+nearest-neighbor chains.  The lower bound depends on the frame's size alone.
 
 Up to ``_TABLE_MAX_PIECES`` = 12 pieces it is exact: a Held-Karp table
 (:func:`_completion_table`) holds the cheapest completion of every
@@ -71,7 +72,6 @@ that runs on numpy.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -79,9 +79,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .scrambler import invert_permutation
-
-# Frontier entries past which the best-first search continues depth-first.
-_FRONTIER_CAP = 1_000_000
 
 # Frames of at most this many pieces are bounded by the exact completion table.
 _TABLE_MAX_PIECES = 12
@@ -400,7 +397,7 @@ def _arborescence_bound(
 def solve_bnb(
     d, on_expand: Callable[[tuple[int, ...], float, float], None] | None = None
 ) -> SolveReport:
-    """Exact best-first branch and bound over piece orders.
+    """Exact depth-first branch and bound over piece orders.
 
     Nodes are partial orders; a node's bound is its accumulated cost plus
     a lower bound on completing it from its endpoint through the unplaced
@@ -408,10 +405,12 @@ def solve_bnb(
     exact completion from :func:`_completion_table`; larger ones the
     minimum spanning arborescence over the endpoint and the unplaced
     pieces, rooted at the endpoint (the module docstring holds the solve
-    times behind that cap).  The frontier pops the smallest bound
-    first (ties: deeper node, then lexicographically smaller prefix).  The
-    root branches over every possible starting piece, and the incumbent
-    starts as the best nearest-neighbor chain (:func:`_greedy_chain`).
+    times behind that cap).  The search starts from a virtual root whose
+    children are the starting pieces, and the incumbent starts as the best
+    nearest-neighbor chain (:func:`_greedy_chain`).  An expanded node's
+    surviving children go on a stack so that the smallest bound pops first
+    (ties: the lower piece).  A node at depth k leaves at most n - k
+    children there, so the stack never holds more than n(n + 1)/2 nodes.
 
     A node is pruned when its bound exceeds the incumbent's cost, or
     equals it while its prefix sorts after the incumbent's prefix of the
@@ -423,12 +422,10 @@ def solve_bnb(
     :func:`_rounding_slack` before every comparison, so rounding cannot
     make a bound overshoot either.
 
-    The arborescence bound runs the contraction only where a cheaper test
-    cannot decide (:func:`_arborescence_bound`).
-
-    If the frontier outgrows ``_FRONTIER_CAP`` entries the search degrades
-    to depth-first under the same bound, which trades order of exploration
-    for memory and cannot affect the returned optimum.
+    A node is tested again when it pops, since the incumbent may have
+    improved after it was pushed.  The arborescence bound runs the
+    contraction only where a cheaper test cannot decide
+    (:func:`_arborescence_bound`).
 
     ``on_expand`` (mainly for tests) sees (prefix, cost_so_far, bound) for
     every expanded internal node.
@@ -438,13 +435,9 @@ def solve_bnb(
     rows = d.tolist()
     inc_order, inc_cost = _greedy_chain(rows)
     gamma = _rounding_slack(d)
-    all_mask = (1 << n) - 1
-
-    def lowered(bound: float) -> float:
-        return bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
 
     def dominated(bound: float, prefix: tuple[int, ...]) -> bool:
-        bound = lowered(bound)
+        bound = bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
         return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
 
     if n <= _TABLE_MAX_PIECES:
@@ -458,55 +451,38 @@ def solve_bnb(
     else:
         open_bound = _arborescence_bound(rows, dominated)
 
-    # Heap entries: (bound, -depth, prefix, cost_so_far, unplaced_mask).
-    frontier: list[tuple[float, int, tuple[int, ...], float, int]] = []
-    expanded = 1  # the virtual root
-    for start in range(n):
-        mask = all_mask & ~(1 << start)
-        bound = open_bound(0.0, (start,), mask)
-        if bound is not None:
-            heapq.heappush(frontier, (bound, -1, (start,), 0.0, mask))
-
-    best_first = True
-    while frontier:
-        if best_first and len(frontier) > _FRONTIER_CAP:
-            # Memory guard: continue depth-first, best bounds on top.
-            frontier.sort(key=lambda e: (e[0], e[1], e[2]), reverse=True)
-            best_first = False
-        if best_first:
-            bound, neg_depth, prefix, cost, mask = heapq.heappop(frontier)
-            if lowered(bound) > inc_cost:
-                break  # heap order: nothing better remains
-            if dominated(bound, prefix):
-                continue  # a tie that sorts late; later entries may still win
-        else:
-            bound, neg_depth, prefix, cost, mask = frontier.pop()
-            if dominated(bound, prefix):
-                continue
+    # Stack entries: (bound, prefix, cost_so_far, unplaced_mask).  The virtual
+    # root, whose bound prunes nothing, has the starting pieces as children,
+    # each reached at no cost.
+    stack: list[tuple[float, tuple[int, ...], float, int]] = [(-math.inf, (), 0.0, (1 << n) - 1)]
+    root_row = [0.0] * n
+    expanded = 0
+    while stack:
+        bound, prefix, cost, mask = stack.pop()
+        if dominated(bound, prefix):
+            continue  # the incumbent improved since this node was pushed
         expanded += 1
-        if on_expand is not None:
+        here = rows[prefix[-1]] if prefix else root_row
+        if on_expand is not None and prefix:
             on_expand(prefix, cost, bound)
-        here = rows[prefix[-1]]
-        depth = -neg_depth
+        children = []
         for j in range(n):
             if not mask >> j & 1:
                 continue
             child_cost = cost + here[j]
             child_prefix = prefix + (j,)
-            if depth + 1 == n:
+            if len(child_prefix) == n:
                 if child_cost < inc_cost or (child_cost == inc_cost and child_prefix < inc_order):
                     inc_cost = child_cost
                     inc_order = child_prefix
                 continue
             child_mask = mask & ~(1 << j)
             child_bound = open_bound(child_cost, child_prefix, child_mask)
-            if child_bound is None:
-                continue
-            entry = (child_bound, -(depth + 1), child_prefix, child_cost, child_mask)
-            if best_first:
-                heapq.heappush(frontier, entry)
-            else:
-                frontier.append(entry)
+            if child_bound is not None:
+                children.append((child_bound, child_prefix, child_cost, child_mask))
+        # Cheapest bound on top, ties to the lower piece; prefixes never tie.
+        children.sort(reverse=True)
+        stack.extend(children)
 
     return SolveReport(inc_order, inc_cost, expanded)
 

@@ -216,9 +216,11 @@ def test_terminal_weights_minimise_the_rls_objective_on_long_segments(n):
     # up to ~1e-4 from the closed form, so compare costs, not weights
     cfg = RlsConfig()
     for seg in _speech_segments(n, 16000, 11, 6):
-        for x in (seg, seg[::-1]):
+        for x in (seg, np.ascontiguousarray(seg[::-1])):
+            # one memory layout for both objectives: a reversed view moves
+            # one by 1.2e-12, more than the margin, through summation order
             ref, _ = rls_run(x, cfg)
-            got = _terminal_weights(np.ascontiguousarray(x), cfg)
+            got = _terminal_weights(x, cfg)
             assert _objective(x, got, cfg) <= _objective(x, ref, cfg) * (1.0 + 1e-12)
 
 

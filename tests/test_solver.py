@@ -1,4 +1,3 @@
-import heapq
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from audiojigsaw.pipeline import AttackConfig, attack, frame_pieces
 from audiojigsaw.puzzle import arrangement_cost, build_distance_matrix
 from audiojigsaw.scrambler import ScramblerConfig
 from audiojigsaw.solver import SolveReport, min_arborescence_weight, recover_key, solve_bnb
-from references import completion_table_by_enumeration, solve_bruteforce
+from references import completion_table_by_enumeration, solve_bnb_best_first, solve_bruteforce
 
 D3 = np.array(
     [
@@ -21,14 +20,6 @@ D3 = np.array(
         [4.0, 7.0, np.inf],
     ]
 )
-
-
-def _solve_capped(d, frontier_cap):
-    """solve_bnb with the frontier capped at ``frontier_cap`` entries; a
-    context, not the monkeypatch fixture, so it also runs under @given."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_FRONTIER_CAP", frontier_cap)
-        return solve_bnb(d)
 
 
 def _random_matrix(rng, n):
@@ -214,16 +205,15 @@ def _infinite_arc_matrices(seed, count):
 
 
 def test_solvers_agree_when_arcs_are_infinite():
-    """Exhaustive search, best-first and depth-first search return the same
-    order and cost, +inf included (then the identity, the lexicographically
-    first order); greedy returns a permutation at its own chain's cost, and
-    no bound is NaN."""
+    """Exhaustive search and the search return the same order and cost, +inf
+    included (then the identity, the lexicographically first order); greedy
+    returns a permutation at its own chain's cost, and no bound is NaN."""
     greedy_infinite = all_infinite = 0
     for d in _infinite_arc_matrices(404, 400):
         n = d.shape[0]
         exact = solve_bruteforce(d)
-        for found in (solve_bnb(d), _solve_capped(d, 2)):
-            assert (found.order, found.cost) == (exact.order, exact.cost)
+        found = solve_bnb(d)
+        assert (found.order, found.cost) == (exact.order, exact.cost)
         greedy_order, greedy_cost = solver._greedy_chain(d.tolist())
         assert sorted(greedy_order) == list(range(n))
         assert greedy_cost == arrangement_cost(d, greedy_order) >= exact.cost
@@ -307,16 +297,15 @@ def _cheapest_in_arcs_close_a_cycle(d, nodes, root):
     return False
 
 
-def _reference_solve_bnb(d, frontier_cap=1_000_000):
+def _reference_solve_bnb(d):
     """The search before the in-arc pre-filter: the full arborescence bound
-    for every child, with the same rounding slack."""
+    for every child, with the same rounding slack and depth-first order."""
     d = solver._validated(d)
     n = d.shape[0]
     rows = d.tolist()
     incumbent = _reference_greedy(d)
     inc_order, inc_cost = incumbent.order, incumbent.cost
     gamma = solver._rounding_slack(d)
-    all_mask = (1 << n) - 1
     bound_cache = {}
 
     def lower_bound(endpoint, unplaced_mask):
@@ -326,54 +315,33 @@ def _reference_solve_bnb(d, frontier_cap=1_000_000):
             bound_cache[key] = min_arborescence_weight(rows, nodes, endpoint)
         return bound_cache[key]
 
-    def lowered(bound):
-        return bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
-
     def dominated(bound, prefix):
-        bound = lowered(bound)
+        bound = bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
         return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
 
-    frontier = []
-    expanded = 1
-    for start in range(n):
-        mask = all_mask & ~(1 << start)
-        bound = lower_bound(start, mask)
-        if not dominated(bound, (start,)):
-            heapq.heappush(frontier, (bound, -1, (start,), 0.0, mask))
-    best_first = True
-    while frontier:
-        if best_first and len(frontier) > frontier_cap:
-            frontier.sort(key=lambda e: (e[0], e[1], e[2]), reverse=True)
-            best_first = False
-        if best_first:
-            bound, neg_depth, prefix, cost, mask = heapq.heappop(frontier)
-            if lowered(bound) > inc_cost:
-                break
-        else:
-            bound, neg_depth, prefix, cost, mask = frontier.pop()
+    stack = [(-math.inf, (), 0.0, (1 << n) - 1)]
+    expanded = 0
+    while stack:
+        bound, prefix, cost, mask = stack.pop()
         if dominated(bound, prefix):
             continue
         expanded += 1
-        here = rows[prefix[-1]]
-        depth = -neg_depth
+        here = rows[prefix[-1]] if prefix else [0.0] * n
+        children = []
         for j in range(n):
             if not mask >> j & 1:
                 continue
             child_cost = cost + here[j]
             child_prefix = prefix + (j,)
-            if depth + 1 == n:
+            if len(child_prefix) == n:
                 if child_cost < inc_cost or (child_cost == inc_cost and child_prefix < inc_order):
                     inc_cost, inc_order = child_cost, child_prefix
                 continue
             child_mask = mask & ~(1 << j)
             child_bound = child_cost + lower_bound(j, child_mask)
-            if dominated(child_bound, child_prefix):
-                continue
-            entry = (child_bound, -(depth + 1), child_prefix, child_cost, child_mask)
-            if best_first:
-                heapq.heappush(frontier, entry)
-            else:
-                frontier.append(entry)
+            if not dominated(child_bound, child_prefix):
+                children.append((child_bound, child_prefix, child_cost, child_mask))
+        stack.extend(sorted(children, reverse=True))
     return SolveReport(inc_order, inc_cost, expanded)
 
 
@@ -403,41 +371,47 @@ def _assert_same_search(d):
     bound: that bound called only where the cheapest in-arcs close a cycle,
     every expanded node's bound equal to it bit for bit, shortcut or not,
     and the same node counts.  On the table path, the same order and cost
-    as the full-bound search and, up to 8 pieces, as exhaustive search."""
+    as the full-bound search, as the best-first search it replaced and, up
+    to 8 pieces, as exhaustive search; up to 12 pieces, where the exact
+    table bounds both, the same node counts as best-first."""
     want = _reference_greedy(d)
     assert solver._greedy_chain(d.tolist()) == (want.order, want.cost)
     n = d.shape[0]
-    exact = solve_bruteforce(d) if n <= 8 else None
 
     def only_on_cycles(rows, nodes, root):
         assert _cheapest_in_arcs_close_a_cycle(d, nodes, root)
         return min_arborescence_weight(rows, nodes, root)
 
-    for frontier_cap in (1_000_000, 2):
-        seen = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "min_arborescence_weight", only_on_cycles)
-            patch.setattr(solver, "_FRONTIER_CAP", frontier_cap)
-            patch.setattr(solver, "_TABLE_MAX_PIECES", 1)
-            got = solve_bnb(d, on_expand=lambda *node: seen.append(node))
-        for prefix, cost, bound in seen:
-            nodes = [prefix[-1]] + [j for j in range(n) if j not in prefix]
-            assert bound == cost + _reference_min_arborescence_weight(d, nodes, prefix[-1])
-        want = _reference_solve_bnb(d, frontier_cap=frontier_cap)
-        assert (got.order, got.cost, got.nodes_expanded) == (want.order, want.cost, want.nodes_expanded)
-        tabled = _solve_capped(d, frontier_cap)
-        assert (tabled.order, tabled.cost) == (want.order, want.cost)
-        if exact is not None:
-            assert (tabled.order, tabled.cost) == (exact.order, exact.cost)
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "min_arborescence_weight", only_on_cycles)
+        patch.setattr(solver, "_TABLE_MAX_PIECES", 1)
+        got = solve_bnb(d, on_expand=lambda *node: seen.append(node))
+    for prefix, cost, bound in seen:
+        nodes = [prefix[-1]] + [j for j in range(n) if j not in prefix]
+        assert bound == cost + _reference_min_arborescence_weight(d, nodes, prefix[-1])
+    want = _reference_solve_bnb(d)
+    assert (got.order, got.cost, got.nodes_expanded) == (want.order, want.cost, want.nodes_expanded)
+    tabled = solve_bnb(d)
+    assert (tabled.order, tabled.cost) == (want.order, want.cost)
+    best_first = solve_bnb_best_first(d)
+    assert (tabled.order, tabled.cost) == (best_first.order, best_first.cost)
+    if n <= solver._TABLE_MAX_PIECES:
+        assert tabled.nodes_expanded == best_first.nodes_expanded
+    if n <= 8:
+        exact = solve_bruteforce(d)
+        assert (tabled.order, tabled.cost) == (exact.order, exact.cost)
 
 
 @pytest.mark.parametrize("extend", [False, True])
-@pytest.mark.parametrize("n, count", [(8, 6), (12, 3), (16, 2)])
+@pytest.mark.parametrize("n, count", [(8, 6), (12, 3), (13, 3), (16, 2)])
 def test_search_matches_full_bound_search_on_speech(n, count, extend):
     """The in-arc pre-filter and the acyclic shortcut change nothing: the
     same orders, costs and node counts as computing the full bound for
     every child, and the same greedy chains as a fresh minimum per step.
-    The completion table changes node counts only."""
+    The completion table changes node counts only, and depth-first order
+    changes them only above the table's 12 pieces: orders and costs are
+    those of the best-first search it replaced."""
     for d in _seed7_frames(extend, n, count):
         _assert_same_search(d)
 
@@ -457,6 +431,7 @@ def _integer_tie_matrices(seed, count):
         ("tie-heavy integers", lambda: _integer_tie_matrices(606, 300)),
         ("+inf arcs", lambda: _infinite_arc_matrices(404, 300)),
         ("all zero", lambda: (_all_ties(n, 0.0) for n in (2, 5, 8, 12))),
+        ("all tied", lambda: (_all_ties(n, value) for n, value in ((9, 2.5), (16, 0.0), (16, 2.5)))),
     ],
 )
 def test_search_matches_full_bound_search_on_degenerate_matrices(name, matrices):
@@ -522,14 +497,6 @@ def test_bnb_breaks_ties_lexicographically():
     assert solve_bruteforce(d).order == (0, 1, 2, 3)
 
 
-def test_bnb_depth_first_fallback_still_exact():
-    rng = np.random.Generator(np.random.PCG64(55))
-    for _ in range(5):
-        d = _random_matrix(rng, 7)
-        capped = _solve_capped(d, 2)
-        assert capped.order == solve_bruteforce(d).order
-
-
 def _all_ties(n, value):
     d = np.full((n, n), value)
     np.fill_diagonal(d, np.inf)
@@ -573,6 +540,15 @@ def test_attack_orders_a_silent_frame_as_identity():
     assert results[0].solve_nodes <= 32
 
 
+def _assert_exact(d):
+    """The search returns the exhaustive oracle's order and cost, and so did
+    the best-first search it replaced, with the same node count."""
+    exact = solve_bruteforce(d)
+    found = solve_bnb(d)
+    assert (found.order, found.cost) == (exact.order, exact.cost)
+    assert solve_bnb_best_first(d) == found
+
+
 @st.composite
 def _tied_matrices(draw):
     n = draw(st.integers(2, 7))
@@ -589,17 +565,13 @@ _GREEDY_LOSES_TIE = np.array([[np.inf, 1.0, 0.0], [3.0, np.inf, 0.0], [3.0, 1.0,
 
 
 @settings(max_examples=300, deadline=None)
-@given(d=_tied_matrices(), frontier_cap=st.sampled_from([1_000_000, 2]))
-@example(d=_GREEDY_LOSES_TIE, frontier_cap=1_000_000)
-@example(d=_GREEDY_LOSES_TIE, frontier_cap=2)
-def test_tie_pruning_matches_bruteforce(d, frontier_cap):
+@given(d=_tied_matrices())
+@example(d=_GREEDY_LOSES_TIE)
+def test_tie_pruning_matches_bruteforce(d):
     """Small-integer matrices are full of equal-cost arrangements; pruning
-    tied branches must still return the oracle's lexicographic winner,
-    best-first and in the depth-first fallback."""
-    exact = solve_bruteforce(d)
-    found = _solve_capped(d, frontier_cap)
-    assert found.order == exact.order
-    assert found.cost == exact.cost
+    tied branches must still return the oracle's lexicographic winner, as
+    the best-first search did."""
+    _assert_exact(d)
 
 
 _POOL = [math.sqrt(k / 7) for k in range(1, 8)] + [0.1, 0.2, 0.3, 0.7]
@@ -621,15 +593,13 @@ _ROUNDING_TIE = _ROUNDING_TIE.reshape(4, 4) + np.diag([np.inf] * 4)
 
 
 @settings(max_examples=300, deadline=None)
-@given(d=_pooled_matrices(), frontier_cap=st.sampled_from([1_000_000, 2]))
-@example(d=_ROUNDING_TIE, frontier_cap=1_000_000)
-def test_search_is_exact_on_real_valued_ties(d, frontier_cap):
+@given(d=_pooled_matrices())
+@example(d=_ROUNDING_TIE)
+def test_search_is_exact_on_real_valued_ties(d):
     """Arcs drawn from a few irrational and decimal values tie arrangements
     whose sums round differently in different orders; the search must still
     return the left-to-right oracle's order and cost."""
-    exact = solve_bruteforce(d)
-    found = _solve_capped(d, frontier_cap)
-    assert (found.order, found.cost) == (exact.order, exact.cost)
+    _assert_exact(d)
 
 
 def test_rounding_slack_is_zero_only_where_sums_are_exact():
