@@ -2,7 +2,8 @@
 
 Subcommands: scramble, descramble, attack, sweep, spectrogram, keyspace.
 Every flag can also live in a ``--config`` file of ``name = value`` lines
-(same spelling, no leading dashes, '#' comments); explicit flags win.
+(same spelling, no leading dashes, '#' comments; switches take
+1/true/yes/on or 0/false/no/off); explicit flags win.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error.
 """
@@ -56,6 +57,15 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
+
+
+def _flag(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"{text!r} is not one of 1/true/yes/on or 0/false/no/off")
 
 
 def _add_framing(p, list_valued=False):
@@ -112,7 +122,8 @@ def _build():
     p.set_defaults(run=_cmd_sweep)
     p.add_argument("--csv", required=True, help="results file to write")
     _add_framing(p, list_valued=True)
-    p.add_argument("--snr-db", type=_float_list, default=(math.inf,), help="SNR grid in dB (comma list)")
+    p.add_argument("--snr-db", type=_float_list, default=(math.inf,),
+                   help="SNR grid in dB (comma list; needs --noise-at)")
     p.add_argument("--noise-at", choices=("source", "channel"), default=None, help="where noise enters")
     p.add_argument("--trials", type=int, default=1, help="trials per grid point")
     p.add_argument("--seed", type=int, default=0, help="master seed for the whole sweep")
@@ -167,15 +178,14 @@ def _apply_config(parser, path):
             action = by_name.get(name.replace("-", "_"))
             if action is None:
                 raise ValueError(f"{path}:{lineno}: unknown option {name!r}")
-            if isinstance(action, argparse._StoreTrueAction):
-                parsed = value.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
+            convert = _flag if isinstance(action, argparse._StoreTrueAction) else action.type
+            if convert is None:
+                parsed = value
+            else:
                 try:
-                    parsed = action.type(value)
+                    parsed = convert(value)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad value for {name!r}: {exc}") from exc
-            else:
-                parsed = value
             parser.set_defaults(**{action.dest: parsed})
             action.required = False
 
@@ -245,6 +255,8 @@ def _cmd_attack(ns) -> int:
 
 
 def _cmd_sweep(ns) -> int:
+    if ns.noise_at is None and any(snr != math.inf for snr in ns.snr_db):
+        raise _UsageError("--snr-db needs --noise-at source or channel")
     spec = SweepSpec(
         frame_sizes=ns.frame_size,
         segment_ms_values=ns.segment_ms,

@@ -61,6 +61,15 @@ def build_distance_matrix(pieces: np.ndarray, cfg: DistanceConfig = DistanceConf
     exact zeros.  Division and square root are correctly rounded and
     monotone, so taking the minimum before or after them picks the same
     value.
+
+    Every finite distance is then rounded to the nearest multiple of 2**-32
+    (ties to even); +inf stays +inf.  A distance is at most 255, so each
+    moves by at most 2**-33, and for fewer than 8,224 pieces every sum of
+    up to n entries is exact in float64.  Arrangements that tie in exact
+    arithmetic then tie in the search too, whose tie-prune needs no
+    rounding slack (``solver._rounding_slack``): a stationary tone, whose
+    pieces are identical or nearly so, takes one node per piece instead of
+    every order.
     """
     pieces = np.asarray(pieces)
     if pieces.ndim not in (3, 4) or pieces.dtype != np.uint8:
@@ -104,6 +113,7 @@ def build_distance_matrix(pieces: np.ndarray, cfg: DistanceConfig = DistanceConf
     sums += (left_sq[..., hi] - left_sq[..., lo])[:, :, :, None]
     sums += (right_sq[..., hi + lags] - right_sq[..., lo + lags])[:, :, None]
     d = np.sqrt(sums.min(axis=0) / (hi - lo)).min(axis=3)
+    d = np.round(d * 2.0**32) / 2.0**32
     d.reshape(len(frames), -1)[:, :: n + 1] = np.inf
     return d.reshape(pieces.shape[:-3] + (n, n))
 

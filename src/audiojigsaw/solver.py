@@ -20,18 +20,18 @@ alternately, on a shared 2-core host:
     ==  ======  ==================  ==================
     n   frames  arborescence        completion table
     ==  ======  ==================  ==================
-    8   62      50.6 / 0.57 / 5.1   17.3 / 0.27 / 0.58
-    10  50      131 / 1.7 / 23      44 / 0.88 / 1.2
-    12  40      370 / 3.1 / 105     134 / 3.2 / 8.4
-    13  38      501 / 5.4 / 84      277 / 7.3 / 8.8
-    14  34      626 / 9.6 / 102     664 / 19.5 / 21.5
+    8   62      43.0 / 0.56 / 2.9   13.9 / 0.18 / 0.38
+    10  50      134 / 1.7 / 35      32.4 / 0.65 / 0.94
+    12  40      284 / 3.1 / 67      79.9 / 2.0 / 2.6
+    13  38      320 / 4.2 / 62      139 / 3.7 / 7.7
+    14  34      495 / 5.5 / 111     265 / 7.8 / 10.8
     ==  ======  ==================  ==================
 
-The table grows as 2**n, so above 12 pieces it raises the median frame
-(``BENCH_13.json`` holds these runs).  There the bound is the minimum
-spanning arborescence, which relaxes a
-Hamiltonian path into any spanning out-tree and can therefore never
-overshoot.
+The table grows as 2**n, so at 14 pieces it raises the median frame
+(``BENCH_16.json`` holds these runs, ``BENCH_13.json`` the runs that set
+the cap).  Above 12 pieces the bound is the minimum spanning
+arborescence, which relaxes a Hamiltonian path into any spanning out-tree
+and can therefore never overshoot.
 
 The arborescence is computed only where nothing cheaper decides.  Its
 first step, every unplaced piece's cheapest in-arc, is itself a lower
@@ -57,16 +57,18 @@ table's completions right to left, the arborescence in contraction order),
 so in floating point a bound can exceed the cost of a path it bounds by a
 few units in the last place.  Every bound is therefore lowered by a relative
 slack gamma before it is compared with a cost (see :func:`_rounding_slack`);
-matrices whose sums are all exact, such as silent frames, need no slack.
+matrices whose sums are all exact, such as every seam-distance matrix
+(``build_distance_matrix`` snaps its entries to multiples of 2**-32),
+need no slack.
 
-The search and its bounds run on plain Python floats: the matrix, and the
-completion table where there is one, are converted once per solve with
-``tolist()``.  At 16 pieces or fewer every step touches a handful of
-numbers, so numpy's per-call overhead would cost more than the arithmetic.
-The conversion is exact, and the arborescence bound keeps the tie rules
-and operand order of a numpy contraction (the reference in the tests), so
-orders, costs, node counts and bound values are bit-identical to a search
-that runs on numpy.
+The search and its bounds run on plain Python floats: the matrix is
+converted once per solve with ``tolist()``, and a child reads its one
+completion-table entry in place with ``ndarray.item``.  At 16 pieces or
+fewer every step touches a handful of numbers, so numpy's per-call
+overhead would cost more than the arithmetic.  Both are exact, and the
+arborescence bound keeps the tie rules and operand order of a numpy
+contraction (the reference in the tests), so orders, costs, node counts
+and bound values are bit-identical to a search that runs on numpy.
 """
 
 from __future__ import annotations
@@ -241,45 +243,42 @@ def _first_cycle(parent: list[int], state: list[int]) -> list[int] | None:
 def _table_layers(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Index arrays of the completion table's layers |S| = 1 .. n - 1 for n pieces.
 
-    A layer's m sets S ascend, and so do the pieces j outside each set and
-    the s pieces k inside it.  ``target`` holds the flat indices S*n + j of
-    the layer's states, set by set; ``source`` (s, m) the flat index of
-    H[S - k][k]; ``arc`` (s, m, n - s) the flat index of d[j][k].  Built at
-    first use and kept per n, never at import.
+    Per layer: its m sets S, ascending; ``k`` (s, m), the s pieces of each
+    set, ascending; ``source`` (s, m), the flat index (S - k)*n + k of
+    H[S - k][k] in the (2**n, n) table.  Built at first use and kept per n,
+    never at import.
     """
     sets = np.arange(1 << n)
     members = (sets[:, None] >> np.arange(n) & 1).astype(bool)
     sizes = members.sum(axis=1)
     layers = []
     for s in range(1, n):
-        layer, member = sets[sizes == s], members[sizes == s]
-        k = np.nonzero(member)[1].reshape(-1, s).T  # (s, m): each set's pieces
-        j = np.nonzero(~member)[1].reshape(-1, n - s)  # (m, n - s): the pieces outside it
-        target = (layer[:, None] * n + j).ravel()
-        layers.append((target, (layer - (1 << k)) * n + k, k[:, :, None] + j * n))
+        layer = sets[sizes == s]
+        k = np.nonzero(members[sizes == s])[1].reshape(-1, s).T
+        layers.append((layer, k, (layer - (1 << k)) * n + k))
     return layers
 
 
-def _completion_table(d: np.ndarray) -> list[float]:
-    """Cheapest completion of every search state, as Python floats (Held-Karp).
+def _completion_table(d: np.ndarray) -> np.ndarray:
+    """Cheapest completion of every search state, as a (2**n, n) array (Held-Karp).
 
-    Entry S*n + j, for a set S of pieces and a piece j outside it, is
+    Entry [S, j], for a set S of pieces and a piece j outside it, is
     H[S][j]: the cheapest path from j through every piece of S, its arcs
     summed right to left, so H[S][j] = min over k in S of fl(d[j][k] +
     H[S - k][k]), and H[{}][j] = 0 (Held & Karp, *J. SIAM* 1962; Bellman,
     *JACM* 1962).  Rounding is monotonic, so each entry is the minimum of
-    the right-to-left sums over all orders of S.  Layer |S| = s is two
-    gathers, one add and one minimum over all of its states; entries with j
-    in S stay +inf and are never read.  ``d`` must hold no NaN or -inf.
+    the right-to-left sums over all orders of S.  Layer |S| = s is one
+    gather of d's columns, one add and one minimum over all of its states.
+    It writes every column of its rows: the entries with j in S hold sums
+    that are no completion, and they and the full set's row (left at 0)
+    are never read.  ``d`` must hold no NaN or -inf.
     """
     n = d.shape[0]
-    table = np.full((1 << n) * n, np.inf)
-    table[:n] = 0.0
-    arcs = d.ravel()
-    for target, source, arc in _table_layers(n):
-        paths = arcs[arc] + table[source][:, :, None]
-        table[target] = paths.reshape(len(source), -1).min(axis=0)
-    return table.tolist()
+    table = np.zeros((1 << n, n))
+    flat = table.reshape(-1)
+    for layer, k, source in _table_layers(n):
+        table[layer] = (d.T[k] + flat[source][..., None]).min(axis=0)
+    return table
 
 
 def _rounding_slack(d: np.ndarray) -> float:
@@ -317,9 +316,11 @@ def _rounding_slack(d: np.ndarray) -> float:
     No slack is needed where every sum is exact: when each finite entry is
     an integer multiple of 2**(p - 53), where n times the largest entry is
     below 2**p, every sum and difference either side forms is an integer
-    number of those units below 2**53.  Silent frames (all zeros), constant
-    and small-integer matrices qualify, get gamma = 0, and keep the
-    tie-break prune of a bound that equals the incumbent.
+    number of those units below 2**53.  Seam-distance matrices, whose
+    entries are multiples of 2**-32 no larger than 255, qualify below
+    8,224 pieces, as do constant and small-integer matrices; they get
+    gamma = 0 and keep the tie-break prune of a bound that equals the
+    incumbent.
     """
     n = d.shape[0]
     finite = np.abs(d[np.isfinite(d)])
@@ -445,7 +446,7 @@ def solve_bnb(
 
         def open_bound(cost: float, prefix: tuple[int, ...], unplaced_mask: int) -> float | None:
             """The node's bound, or None when it is pruned."""
-            bound = cost + table[unplaced_mask * n + prefix[-1]]
+            bound = cost + table.item(unplaced_mask, prefix[-1])
             return None if dominated(bound, prefix) else bound
 
     else:

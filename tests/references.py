@@ -6,12 +6,13 @@ the normal equations, the STFT of one signal, the
 analysis-window coverage of a sample, the quantization of a frame piece by
 piece, the seam distance of one pair of pieces, the exhaustive frame
 solve, the best-first search the depth-first one replaced, the search's
-completion table by enumeration, and the accuracy
-score as a sum over every shared block.
+completion table by enumeration and in the flat layout the package's
+array replaced, and the accuracy score as a sum over every shared block.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -148,9 +149,9 @@ def piece_distance(left, right, cfg: DistanceConfig = DistanceConfig()) -> float
     For each inward offset a in 0..max_penetration, column (last - a) of
     the left piece meets column a of the right piece; for each vertical
     slide b in 0..max_slide the overlapping rows (shifting either piece up)
-    are compared.  The minimum RMS difference over all offsets is the
-    distance.  Directed: piece_distance(x, y) != piece_distance(y, x) in
-    general.
+    are compared.  The minimum RMS difference over all offsets, rounded to
+    the nearest multiple of 2**-32, is the distance.  Directed:
+    piece_distance(x, y) != piece_distance(y, x) in general.
     """
     li = np.asarray(left, dtype=np.float64)
     ri = np.asarray(right, dtype=np.float64)
@@ -172,7 +173,7 @@ def piece_distance(left, right, cfg: DistanceConfig = DistanceConfig()) -> float
             if b:
                 diff = col_l[:span] - col_r[b:]
                 best = min(best, math.sqrt(float(diff @ diff) / span))
-    return best
+    return round(best * 2.0**32) / 2.0**32
 
 
 _ORACLE_CHUNK = 40320
@@ -240,7 +241,7 @@ def solve_bnb_best_first(d, frontier_cap: int = 1_000_000) -> SolveReport:
         table = solver._completion_table(d)
 
         def open_bound(cost, prefix, unplaced_mask):
-            bound = cost + table[unplaced_mask * n + prefix[-1]]
+            bound = cost + table.item(unplaced_mask, prefix[-1])
             return None if dominated(bound, prefix) else bound
 
     else:
@@ -320,6 +321,47 @@ def completion_table_by_enumeration(d) -> dict[tuple[int, int], float]:
                     best = min(best, total)
                 table[sum(1 << k for k in members), j] = best
     return table
+
+
+@functools.cache
+def _flat_table_layers(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Index arrays of the flat table's layers |S| = 1 .. n - 1 for n pieces.
+
+    A layer's m sets S ascend, and so do the pieces j outside each set and
+    the s pieces k inside it.  ``target`` holds the flat indices S*n + j of
+    the layer's states, set by set; ``source`` (s, m) the flat index of
+    H[S - k][k]; ``arc`` (s, m, n - s) the flat index of d[j][k].
+    """
+    sets = np.arange(1 << n)
+    members = (sets[:, None] >> np.arange(n) & 1).astype(bool)
+    sizes = members.sum(axis=1)
+    layers = []
+    for s in range(1, n):
+        layer, member = sets[sizes == s], members[sizes == s]
+        k = np.nonzero(member)[1].reshape(-1, s).T  # (s, m): each set's pieces
+        j = np.nonzero(~member)[1].reshape(-1, n - s)  # (m, n - s): the pieces outside it
+        target = (layer[:, None] * n + j).ravel()
+        layers.append((target, (layer - (1 << k)) * n + k, k[:, :, None] + j * n))
+    return layers
+
+
+def completion_table_flat(d) -> list[float]:
+    """The completion table in the flat layout :func:`~audiojigsaw.solver._completion_table` replaced.
+
+    Entry S*n + j is H[S][j] = min over k in S of fl(d[j][k] + H[S - k][k]),
+    built one layer |S| at a time from gathers through ``arc``, ``source``
+    and ``target`` index arrays, and returned as Python floats.  Entries
+    with j in S stay +inf.
+    """
+    d = _validated(d)
+    n = d.shape[0]
+    table = np.full((1 << n) * n, np.inf)
+    table[:n] = 0.0
+    arcs = d.ravel()
+    for target, source, arc in _flat_table_layers(n):
+        paths = arcs[arc] + table[source][:, :, None]
+        table[target] = paths.reshape(len(source), -1).min(axis=0)
+    return table.tolist()
 
 
 def sub_block_matches(found, correct, block_len: int) -> int:

@@ -101,6 +101,22 @@ def test_sweep_non_finite_snr_is_data_error(tmp_path, capsys, snr):
     assert "error: snr_db must be finite or +inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sweep_snr_without_noise_at_is_usage_error(tmp_path, capsys, source):
+    """An SNR grid with nowhere to add the noise used to run a clean sweep."""
+    out_csv = tmp_path / "sweep.csv"
+    args = ["sweep", "--csv", str(out_csv), "--duration", "0.35"]
+    if source == "flag":
+        args += ["--snr-db", "10"]
+    else:
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("snr-db = inf,10\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 1
+    assert "usage error: --snr-db needs --noise-at" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_spectrogram_subcommand_writes_pgm(tmp_path, plain_wav):
     out_dir = tmp_path / "pieces"
     code = main(["spectrogram", "--input", str(plain_wav), "--output", str(out_dir),
@@ -195,6 +211,24 @@ def test_config_file_rejects_unknown_option(tmp_path, capsys):
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("volume = 11\n")
     assert main(["keyspace", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("value, vad", [("TRUE", True), ("on", True), ("0", False), ("No", False)])
+def test_config_file_reads_booleans(tmp_path, monkeypatch, value, vad):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(f"vad = {value}\n")
+    seen = []
+    monkeypatch.setattr(cli, "sweep", lambda spec, csv_path: seen.append(spec.vad))
+    assert main(["sweep", "--csv", str(tmp_path / "s.csv"), "--config", str(cfg)]) == 0
+    assert seen == [vad]
+
+
+def test_config_file_rejects_a_mistyped_boolean(tmp_path, capsys):
+    """``vad = ture`` used to read as false."""
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("# trim\nvad = ture\n")
+    assert main(["sweep", "--csv", str(tmp_path / "s.csv"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:2: bad value for 'vad'")
 
 
 def test_help_exits_zero(capsys):
