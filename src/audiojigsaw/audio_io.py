@@ -4,14 +4,24 @@ Only PCM 16-bit mono WAV files are accepted.  Other layouts are rejected
 instead of silently converted, so nothing downstream ever sees resampled
 or channel-mixed data.
 
-The synthesizer's per-sample loops (pulse placement, and one pass through
-the tilt pole and three resonators with per-sample coefficients) run on
-Python floats taken from ``tolist()`` chunks of 4,096 samples.  Indexing
-numpy arrays sample by sample costs several times more, and Python floats
-round exactly like float64 scalars, so the output is the same bit for bit.
-The chunks bound the memory the lists take: a whole-signal list holds
-every sample as a 24-byte float object plus a pointer, and took the peak
-memory growth of a 10 s, 8 kHz synthesis from ~8 MB to ~20 MB.
+Every function here that builds samples allocates them once: it fills a
+fresh array, makes it read-only and hands it to :class:`AudioBuffer`,
+which keeps such an array without copying it.
+
+The synthesizer streams its signal through chunks of 4,096 samples.  Only
+four arrays span the whole signal: the noise, the voiced mask, the
+loudness envelope and the output.  Per chunk it interpolates the pitch
+and formant tracks, places the pulses, builds the excitation and runs
+its per-sample loops (pulse placement, and one pass through the tilt
+pole and three resonators with per-sample coefficients) on Python floats
+taken from ``tolist()``.  Indexing numpy arrays sample by sample costs
+several times more, and Python floats round exactly like float64
+scalars, so the output is the same bit for bit as filtering whole-signal
+arrays.  The chunks also bound the memory the lists take: a whole-signal
+list holds every sample as a 24-byte float object plus a pointer.  A
+10 s, 8 kHz synthesis peaks at 4.9 times its output's bytes under
+tracemalloc, against 13.5 times when every track and the excitation
+spanned the whole signal.
 """
 
 from __future__ import annotations
@@ -27,28 +37,65 @@ class WavFormatError(ValueError):
     """A WAV file exists but is not PCM 16-bit mono."""
 
 
+def _is_frozen_owner_chain(samples) -> bool:
+    """True for a 1-d, C-contiguous, native float64 ndarray that nothing
+    can write through: it and every ndarray in its ``.base`` chain are
+    read-only, and the chain ends at an ndarray owning its data."""
+    if not (
+        type(samples) is np.ndarray
+        and samples.ndim == 1
+        and samples.dtype == np.float64  # a byte-swapped float64 compares unequal
+        and samples.flags.c_contiguous
+    ):
+        return False
+    array = samples
+    while type(array) is np.ndarray and not array.flags.writeable:
+        if array.base is None:
+            return array.flags.owndata
+        array = array.base
+    return False
+
+
 @dataclass(frozen=True)
 class AudioBuffer:
     """Mono audio: float64 samples plus their sample rate in Hz.
 
-    The sample array is made read-only on construction so buffers can be
-    shared between pipeline stages without defensive copies.
+    The sample array is read-only, so buffers can be shared between
+    pipeline stages without defensive copies.  An input that is already
+    frozen is kept as it is: a 1-d, C-contiguous, native float64 ndarray
+    is adopted without a copy when neither it nor any ndarray in its
+    ``.base`` chain is writeable and the chain ends at an ndarray that
+    owns its data.  So ``AudioBuffer(buf.samples[lo:hi], rate)`` is a
+    view of ``buf``.  Any other input (a writeable array, a read-only
+    view of a writeable one, an array over a ``bytes`` object or a memory
+    map, a list) is copied and the copy frozen.  An owner that turns
+    ``writeable`` back on can change an adopted buffer, just as setting
+    ``buf.samples.flags.writeable = True`` can change any buffer.
+
+    The sample rate must be a positive whole number (``8000`` or
+    ``8000.0``); it is stored as an ``int``.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float64, copy=True)
+        samples = self.samples
+        if not _is_frozen_owner_chain(samples):
+            samples = np.array(samples, dtype=np.float64, copy=True)
+            samples.flags.writeable = False
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional (mono)")
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if int(self.sample_rate) <= 0:
-            raise ValueError("sample_rate must be positive")
-        samples.flags.writeable = False
+        try:
+            rate = int(self.sample_rate)
+        except (TypeError, ValueError, OverflowError):
+            rate = None
+        if rate is None or rate != self.sample_rate or rate <= 0:
+            raise ValueError(f"sample_rate must be a positive whole number, got {self.sample_rate!r}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", rate)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -66,14 +113,16 @@ def read_wav(path) -> AudioBuffer:
     Raises
     ------
     WavFormatError
-        If the file is not RIFF/WAVE PCM, not mono, or not 16-bit.
+        If the file is not RIFF/WAVE PCM, not mono, or not 16-bit, or
+        holds fewer sample bytes than its header declares.
     """
     try:
         with wave.open(str(path), "rb") as handle:
             n_channels = handle.getnchannels()
             sample_width = handle.getsampwidth()
             rate = handle.getframerate()
-            raw = handle.readframes(handle.getnframes())
+            n_frames = handle.getnframes()
+            raw = handle.readframes(n_frames)
     except wave.Error as exc:
         raise WavFormatError(f"{path}: unsupported WAV encoding ({exc})") from exc
     except EOFError as exc:
@@ -84,8 +133,14 @@ def read_wav(path) -> AudioBuffer:
         raise WavFormatError(
             f"{path}: sample width: expected 16-bit, got {8 * sample_width}-bit"
         )
-    ints = np.frombuffer(raw, dtype="<i2")
-    return AudioBuffer(ints / 32768.0, rate)
+    if len(raw) != 2 * n_frames:
+        raise WavFormatError(
+            f"{path}: truncated data: header declares {n_frames} frames, "
+            f"file holds {len(raw) // 2}"
+        )
+    samples = np.frombuffer(raw, dtype="<i2") / 32768.0
+    samples.flags.writeable = False
+    return AudioBuffer(samples, rate)
 
 
 def write_wav(path, buf: AudioBuffer) -> None:
@@ -134,30 +189,30 @@ _RAMP_S = 0.02
 _CHUNK = 4096
 
 
-def _shape(excitation: np.ndarray, a1s: list[np.ndarray]) -> np.ndarray:
-    """Tilt pole and the three resonators, from rest, in one pass over the samples.
+def _shape(excitation: np.ndarray, a1s: np.ndarray, state: list[float]) -> list[float]:
+    """Tilt pole and the three resonators over one chunk, in one pass over its samples.
 
     Per sample, the tilt t[m] = x[m] + 0.97 t[m-1] (what
     ``lfilter([1], [1, -0.97], x)`` computes, bit for bit) feeds resonator
     k, y[m] = gain * in[m] + a1s[k][m] y[m-1] - a2 y[m-2] with gain
     1 - radius and a2 = radius**2, whose output feeds resonator k + 1.
     Running the cascade sample by sample does every float operation of
-    filtering stage by stage, in the same order.
+    filtering stage by stage, in the same order.  ``state`` holds the
+    seven filter memories (t, then y[m-1] and y[m-2] of each resonator),
+    all 0.0 at rest; it is updated in place, so consecutive chunks filter
+    as one signal.  Returns the chunk's output samples.
     """
     (ga, a2a), (gb, a2b), (gc, a2c) = ((1.0 - r, r * r) for r in _RESONANCE_RADII)
-    out = np.empty(excitation.size)
-    t = p1 = p2 = q1 = q2 = r1 = r2 = 0.0
-    for lo in range(0, excitation.size, _CHUNK):
-        hi = lo + _CHUNK
-        block = []
-        for x, ca, cb, cc in zip(excitation[lo:hi].tolist(), *(a1[lo:hi].tolist() for a1 in a1s)):
-            t = x + 0.97 * t
-            p1, p2 = ga * t + ca * p1 - a2a * p2, p1
-            q1, q2 = gb * p1 + cb * q1 - a2b * q2, q1
-            r1, r2 = gc * q1 + cc * r1 - a2c * r2, r1
-            block.append(r1)
-        out[lo : lo + len(block)] = block
-    return out
+    t, p1, p2, q1, q2, r1, r2 = state
+    block = []
+    for x, ca, cb, cc in zip(excitation.tolist(), *a1s.tolist()):
+        t = x + 0.97 * t
+        p1, p2 = ga * t + ca * p1 - a2a * p2, p1
+        q1, q2 = gb * p1 + cb * q1 - a2b * q2, q1
+        r1, r2 = gc * q1 + cc * r1 - a2c * r2, r1
+        block.append(r1)
+    state[:] = t, p1, p2, q1, q2, r1, r2
+    return block
 
 
 def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000) -> AudioBuffer:
@@ -183,16 +238,15 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
         raise ValueError("sample_rate must be positive")
     n = int(round(duration_s * sample_rate))
     rng = np.random.Generator(np.random.PCG64(seed))
-    times = np.arange(n) / sample_rate
 
-    def piecewise_track(lo, hi, at, span):
-        """Random piecewise-linear track: new target every span seconds."""
+    def track_keys(lo, hi, span):
+        """Keypoints of a random piecewise-linear track: new target every span seconds."""
         key_t = [0.0]
         key_v = [rng.uniform(lo, hi)]
         while key_t[-1] < duration_s:
             key_t.append(key_t[-1] + rng.uniform(*span))
             key_v.append(rng.uniform(lo, hi))
-        return np.interp(at, key_t, key_v)
+        return np.array(key_t), np.array(key_v)
 
     # Phonation plan: envelope keypoints plus the voiced time spans.
     env_t = [0.0]
@@ -221,37 +275,46 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
         env_t.append(t + dur)
         env_v.append(level)
         t += dur
-    envelope = np.interp(times, env_t, env_v)
+    # env_t steps back where a hold passes its stretch's end, and there
+    # np.interp's answer depends on where its search starts: the envelope
+    # is one call over all samples, never per chunk.
+    envelope = np.interp(np.arange(n) / sample_rate, env_t, env_v)
     voiced = np.zeros(n, dtype=bool)
     for start, stop in voiced_spans:
         voiced[int(start * sample_rate) : min(n, int(stop * sample_rate))] = True
 
-    pitch = piecewise_track(*_F0_RANGE_HZ, times, _F0_SPAN_S)
-    pulse_at = []
+    pitch_t, pitch_v = track_keys(*_F0_RANGE_HZ, _F0_SPAN_S)
+    noise = rng.standard_normal(n)
+    formant_keys = [track_keys(f_lo, f_hi, _FORMANT_SPAN_S) for f_lo, f_hi in _RESONANCE_BANDS]
+    a1_gain = np.array([[2.0 * radius] for radius in _RESONANCE_RADII])
+
+    out = np.empty(n)
+    state = [0.0] * 7
     pos = 0
     for lo in range(0, n, _CHUNK):
-        is_voiced = voiced[lo : lo + _CHUNK].tolist()
-        f0 = pitch[lo : lo + _CHUNK].tolist()
-        while pos < lo + len(is_voiced):
-            if is_voiced[pos - lo]:
-                pulse_at.append(pos)
+        hi = min(n, lo + _CHUNK)
+        at = np.arange(lo, hi) / sample_rate
+        is_voiced = voiced[lo:hi]
+        flags = is_voiced.tolist()
+        f0 = np.interp(at, pitch_t, pitch_v).tolist()
+        excitation = np.zeros(hi - lo)
+        while pos < hi:
+            if flags[pos - lo]:
+                excitation[pos - lo] = _PULSE_GAIN
                 pos += int(round(sample_rate / f0[pos - lo]))
             else:
                 pos += 1
-    pulses = np.zeros(n)
-    pulses[pulse_at] = 1.0
-    noise = rng.standard_normal(n)
-    excitation = _PULSE_GAIN * pulses + _ASPIRATION_GAIN * noise
-    excitation[~voiced] += _FRICATION_GAIN * noise[~voiced]
+        chunk_noise = noise[lo:hi]
+        excitation += _ASPIRATION_GAIN * chunk_noise
+        unvoiced = ~is_voiced
+        excitation[unvoiced] += _FRICATION_GAIN * chunk_noise[unvoiced]
+        theta = 2.0 * math.pi * np.array([np.interp(at, *keys) for keys in formant_keys]) / sample_rate
+        out[lo:hi] = _shape(excitation, a1_gain * np.cos(theta), state)
 
-    a1s = []
-    for (f_lo, f_hi), radius in zip(_RESONANCE_BANDS, _RESONANCE_RADII):
-        theta = 2.0 * math.pi * piecewise_track(f_lo, f_hi, times, _FORMANT_SPAN_S) / sample_rate
-        a1s.append(2.0 * radius * np.cos(theta))
-
-    shaped = _shape(excitation, a1s) * envelope
-    peak = np.max(np.abs(shaped))
-    return AudioBuffer(shaped * (0.9 / peak), sample_rate)
+    out *= envelope
+    out *= 0.9 / max(out.max(), -out.min())
+    out.flags.writeable = False
+    return AudioBuffer(out, sample_rate)
 
 
 def vad_trim(buf: AudioBuffer) -> AudioBuffer:
@@ -275,7 +338,8 @@ def vad_trim(buf: AudioBuffer) -> AudioBuffer:
         for i in range(n_win)
         if energies[i] >= _VAD_THRESHOLD_RATIO * peak
     ]
-    joined = np.concatenate(kept) if kept else np.empty(0)
+    joined = np.concatenate(kept)  # never empty: the loudest window is kept
+    joined.flags.writeable = False
     return AudioBuffer(joined, buf.sample_rate)
 
 
@@ -296,4 +360,10 @@ def add_awgn(buf: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
         raise ValueError("zero-power signal: SNR is undefined")
     sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     rng = np.random.Generator(np.random.PCG64(seed))
-    return AudioBuffer(buf.samples + sigma * rng.standard_normal(len(buf)), buf.sample_rate)
+    # sigma * z + x, built in place in the deviates' array; float + and *
+    # commute, so the bits are those of x + sigma * z.
+    noisy = rng.standard_normal(len(buf))
+    noisy *= sigma
+    noisy += buf.samples
+    noisy.flags.writeable = False
+    return AudioBuffer(noisy, buf.sample_rate)

@@ -122,13 +122,22 @@ def _gather_segments(
     buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule, keys: Sequence[Sequence[int]]
 ) -> AudioBuffer:
     """Output segment i of full frame f is its input segment keys[f][i], all
-    frames in one gather; a trailing partial frame passes through untouched."""
+    frames in one gather straight into the output; a trailing partial frame
+    passes through untouched."""
     frames, tail = _split_frames(buf, cfg)
     n_frames = len(frames)
     _check_schedule(ks, cfg, n_frames)
     index = np.array(keys[:n_frames], dtype=np.intp).reshape(n_frames, cfg.frame_size)
-    out = frames[np.arange(n_frames)[:, None], index]
-    return AudioBuffer(np.concatenate([out.reshape(-1), tail]), buf.sample_rate)
+    index += cfg.frame_size * np.arange(n_frames)[:, None]
+    segments = frames.reshape(-1, cfg.segment_samples)
+    out = np.empty(len(buf))
+    body = out[: segments.size].reshape(segments.shape)
+    # Every index is in range (keys are permutations); mode="clip" lets
+    # take write straight into ``out``, where mode="raise" buffers it.
+    np.take(segments, index.reshape(-1), axis=0, out=body, mode="clip")
+    out[segments.size :] = tail
+    out.flags.writeable = False
+    return AudioBuffer(out, buf.sample_rate)
 
 
 def scramble(buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule) -> AudioBuffer:

@@ -86,17 +86,25 @@ def quantize_frame(spectra) -> np.ndarray:
     is taken over the whole frame so grey levels stay comparable across
     pieces; lo maps to 0, hi to 255, rounding half-up.  A flat frame
     (hi == lo) quantizes to all zeros.  Returns the frame's pieces as one
-    uint8 array of the same shape.
+    uint8 array of the same shape.  The steps run in place in one float64
+    temporary, in the order the formula reads.
     """
     values = np.asarray(spectra, dtype=np.float64)
     if values.ndim != 3 or values.size == 0:
         raise ValueError("spectra must be a non-empty (pieces, rows, cols) array")
-    values = 20.0 * np.log10(values + 1e-10)
-    lo, hi = values.min(), values.max()
+    scaled = values + 1e-10
+    np.log10(scaled, out=scaled)
+    scaled *= 20.0
+    lo, hi = scaled.min(), scaled.max()
     if hi == lo:
-        return np.zeros(values.shape, dtype=np.uint8)
-    scaled = 255.0 * (values - lo) / (hi - lo)
-    return np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
+        return np.zeros(scaled.shape, dtype=np.uint8)
+    scaled -= lo
+    scaled *= 255.0
+    scaled /= hi - lo
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    np.clip(scaled, 0, 255, out=scaled)
+    return scaled.astype(np.uint8)
 
 
 def write_pgm(pixels: np.ndarray, path) -> None:
