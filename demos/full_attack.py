@@ -8,6 +8,7 @@ output directory so the three signals can be listened to side by side.
 """
 
 import argparse
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from audiojigsaw import (
     attack,
     make_key_schedule,
     scramble,
-    summarize_accuracy,
     synthesize_speechlike,
     write_wav,
 )
@@ -38,21 +38,22 @@ def main():
     geom = ScramblerConfig(frame_size=args.frame_size)
 
     plain = synthesize_speechlike(args.seconds, args.seed)
-    n_frames = len(plain) // geom.frame_samples
+    n_frames = geom.frame_count(len(plain))
     keys = make_key_schedule(args.key_seed, n_frames, geom.frame_size)
     cipher = scramble(plain, geom, keys)
     write_wav(out / "plain.wav", plain)
     write_wav(out / "scrambled.wav", cipher)
 
     print(f"{n_frames} frames, {args.seconds:g} s, frame size {geom.frame_size}")
-    for label, use_estimation in (("puzzle", False), ("puzzle+rls", True)):
+    for use_estimation in (False, True):
         cfg = AttackConfig(scrambler=geom, use_estimation=use_estimation)
         estimate, results = attack(cipher, cfg, truth=keys)
-        write_wav(out / f"estimate_{label.replace('+', '_')}.wav", estimate)
-        report = summarize_accuracy([r.accuracy for r in results])
-        exact = sum(1 for r in results if r.accuracy == 1.0)
+        write_wav(out / f"estimate_{cfg.method.replace('+', '_')}.wav", estimate)
+        scores = [r.accuracy for r in results]
+        std = statistics.stdev(scores) if len(scores) > 1 else 0.0
+        exact = scores.count(1.0)
         nodes = int(np.mean([r.solve_nodes for r in results]))
-        print(f"{label:11s} mean accuracy {report.mean:.3f} (std {report.std:.3f}),"
+        print(f"{cfg.method:11s} mean accuracy {statistics.fmean(scores):.3f} (std {std:.3f}),"
               f" {exact}/{n_frames} frames perfect, ~{nodes} nodes/frame")
     print(f"WAVs in {out}/")
 

@@ -38,7 +38,7 @@ def main():
     geom = ScramblerConfig(args.frame_size, args.segment_ms)
 
     plain = synthesize_speechlike(args.seconds, args.seed)
-    n_frames = len(plain) // geom.frame_samples
+    n_frames = geom.frame_count(len(plain))
     keys = make_key_schedule(args.key_seed, n_frames, args.frame_size)
     cipher = scramble(plain, geom, keys)
     restored = descramble(cipher, geom, keys)

@@ -17,7 +17,7 @@ from .audio_io import (
     write_wav,
 )
 from .estimator import RlsConfig, extend_frame, extend_segment
-from .evaluation import AccuracyReport, accuracy, summarize_accuracy
+from .evaluation import accuracy
 from .pipeline import (
     AttackConfig,
     CSV_HEADER,
@@ -53,7 +53,6 @@ from .spectrogram import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyReport",
     "AttackConfig",
     "AudioBuffer",
     "CSV_HEADER",
@@ -88,7 +87,6 @@ __all__ = [
     "scramble",
     "segmented_spectrogram",
     "solve_bnb",
-    "summarize_accuracy",
     "sweep",
     "synthesize_speechlike",
     "vad_trim",

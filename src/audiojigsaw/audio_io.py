@@ -56,6 +56,18 @@ def _is_frozen_owner_chain(samples) -> bool:
     return False
 
 
+def _whole_sample_rate(rate) -> int:
+    """The package's one sample-rate rule: a positive whole number (``8000``
+    or ``8000.0``), returned as an ``int``; anything else raises ValueError."""
+    try:
+        whole = int(rate)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != rate or whole <= 0:
+        raise ValueError(f"sample_rate must be a positive whole number, got {rate!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class AudioBuffer:
     """Mono audio: float64 samples plus their sample rate in Hz.
@@ -73,7 +85,7 @@ class AudioBuffer:
     ``buf.samples.flags.writeable = True`` can change any buffer.
 
     The sample rate must be a positive whole number (``8000`` or
-    ``8000.0``); it is stored as an ``int``.
+    ``8000.0``), stored as an ``int``: the rule of :func:`_whole_sample_rate`.
     """
 
     samples: np.ndarray
@@ -88,14 +100,8 @@ class AudioBuffer:
             raise ValueError("samples must be one-dimensional (mono)")
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        try:
-            rate = int(self.sample_rate)
-        except (TypeError, ValueError, OverflowError):
-            rate = None
-        if rate is None or rate != self.sample_rate or rate <= 0:
-            raise ValueError(f"sample_rate must be a positive whole number, got {self.sample_rate!r}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", rate)
+        object.__setattr__(self, "sample_rate", _whole_sample_rate(self.sample_rate))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -231,11 +237,16 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
 
     All randomness comes from one PCG64 generator, so the output is a
     pure function of (duration_s, seed, sample_rate).
+
+    ``sample_rate`` must pass :func:`_whole_sample_rate` and exceed 135 Hz,
+    where a 270 Hz pitch period would round to 0 samples; both are checked
+    before any sample is drawn.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+    sample_rate = _whole_sample_rate(sample_rate)
+    if round(sample_rate / _F0_RANGE_HZ[1]) < 1:
+        raise ValueError(f"sample_rate {sample_rate} Hz is too low for a {_F0_RANGE_HZ[1]:g} Hz pitch period")
     n = int(round(duration_s * sample_rate))
     rng = np.random.Generator(np.random.PCG64(seed))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import statistics
 import sys
 from pathlib import Path
 
@@ -39,7 +40,6 @@ from .scrambler import (
     scramble,
 )
 from .spectrogram import StftConfig, write_pgm
-from .evaluation import summarize_accuracy
 
 
 class _UsageError(Exception):
@@ -243,13 +243,11 @@ def _cmd_attack(ns) -> int:
         truth = make_key_schedule(ns.key_seed, cfg.scrambler.frame_count(len(buf)), ns.frame_size)
     estimate, results = attack(buf, cfg, truth=truth)
     write_wav(ns.output, estimate)
-    method = "puzzle" if ns.no_rls else "puzzle+rls"
     if ns.csv:
-        rows = format_rows(results, 0, ns.frame_size, ns.segment_ms, math.inf, "none", method)
-        write_results_csv(ns.csv, rows)
-    line = f"attacked {len(results)} frames with {method} -> {ns.output}"
+        write_results_csv(ns.csv, format_rows(results, 0, cfg, math.inf, "none"))
+    line = f"attacked {len(results)} frames with {cfg.method} -> {ns.output}"
     if truth is not None:
-        line += f", mean accuracy {summarize_accuracy([r.accuracy for r in results]).mean:.3f}"
+        line += f", mean accuracy {statistics.fmean(r.accuracy for r in results):.3f}"
     print(line)
     return 0
 

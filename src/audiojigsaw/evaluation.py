@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -44,24 +43,3 @@ def accuracy(found: Sequence[int], correct: Sequence[int]) -> float:
             stretch = 1
     earned += math.comb(stretch + 2, 3)
     return earned / math.comb(n + 2, 3)
-
-
-@dataclass(frozen=True)
-class AccuracyReport:
-    """Mean and sample standard deviation of per-frame scores."""
-
-    mean: float
-    std: float
-
-
-def summarize_accuracy(frame_scores: Sequence[float]) -> AccuracyReport:
-    """Aggregate per-frame accuracies; std is 0 for fewer than two frames."""
-    scores = tuple(float(v) for v in frame_scores)
-    if not scores:
-        raise ValueError("no frame scores given")
-    mean = sum(scores) / len(scores)
-    if len(scores) < 2:
-        std = 0.0
-    else:
-        std = math.sqrt(sum((v - mean) ** 2 for v in scores) / (len(scores) - 1))
-    return AccuracyReport(mean, std)

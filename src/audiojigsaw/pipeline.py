@@ -48,6 +48,11 @@ class AttackConfig:
     distance: DistanceConfig = DistanceConfig()
     use_estimation: bool = True
 
+    @property
+    def method(self) -> str:
+        """The attack's label in results: ``puzzle+rls`` with border extension, else ``puzzle``."""
+        return "puzzle+rls" if self.use_estimation else "puzzle"
+
 
 @dataclass(frozen=True)
 class FrameAttackResult:
@@ -150,24 +155,23 @@ CSV_HEADER = (
 def format_rows(
     results: Sequence[FrameAttackResult],
     trial: int,
-    frame_size: int,
-    segment_ms: float,
+    cfg: AttackConfig,
     snr_db: float,
     noise_at: str,
-    method: str,
 ) -> list[list[str]]:
-    """Render attack results as CSV rows; infinite SNR shows as an empty cell."""
+    """Render the results of one ``attack(cipher, cfg)`` call as CSV rows, with
+    N, segment_ms and method read from ``cfg``; infinite SNR shows as an empty cell."""
     rows = []
     for r in results:
         rows.append(
             [
                 str(trial),
                 str(r.frame_index),
-                str(frame_size),
-                f"{segment_ms:g}",
+                str(cfg.scrambler.frame_size),
+                f"{cfg.scrambler.segment_ms:g}",
                 "" if math.isinf(snr_db) else f"{snr_db:g}",
                 noise_at,
-                method,
+                cfg.method,
                 f"{r.cost:.6f}",
                 "" if r.accuracy is None else f"{r.accuracy:.6f}",
                 str(r.solve_nodes),
@@ -236,7 +240,7 @@ class SweepSpec:
         return (math.inf,) if self.noise_at == "none" else self.snr_dbs
 
 
-_METHODS = (("puzzle+rls", True), ("puzzle", False))
+_METHODS = (True, False)  # use_estimation per method, in CSV order
 # Seconds of synthetic plaintext per trial when the spec names none.
 _SYNTH_SECONDS = 10.0
 
@@ -265,7 +269,7 @@ def sweep(spec: SweepSpec, csv_path) -> None:
             cipher = scramble(plain, geom, keys)
             if spec.noise_at == "channel":
                 cipher = add_awgn(cipher, snr_db, channel_seed)
-            for method, use_estimation in _METHODS:
+            for use_estimation in _METHODS:
                 cfg = AttackConfig(
                     scrambler=geom,
                     stft=spec.stft,
@@ -274,7 +278,5 @@ def sweep(spec: SweepSpec, csv_path) -> None:
                     use_estimation=use_estimation,
                 )
                 _, results = attack(cipher, cfg, truth=keys)
-                rows.extend(
-                    format_rows(results, trial, frame_size, segment_ms, snr_db, spec.noise_at, method)
-                )
+                rows.extend(format_rows(results, trial, cfg, snr_db, spec.noise_at))
     write_results_csv(csv_path, rows)

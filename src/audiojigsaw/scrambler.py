@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, _whole_sample_rate
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,8 @@ class ScramblerConfig:
     """Framing geometry: segments per frame, segment duration, sample rate.
 
     A frame holds at least 2 segments, so every frame has an order to hide.
+    The sample rate follows :class:`AudioBuffer`'s rule, and audio at
+    another rate is refused wherever it is cut into frames.
     """
 
     frame_size: int = 8
@@ -32,8 +34,7 @@ class ScramblerConfig:
             raise ValueError("frame_size must be at least 2")
         if not 0 < self.segment_ms < math.inf:
             raise ValueError("segment_ms must be finite and positive")
-        if not 0 < self.sample_rate < math.inf:
-            raise ValueError("sample_rate must be finite and positive")
+        object.__setattr__(self, "sample_rate", _whole_sample_rate(self.sample_rate))
         if self.segment_samples < 1:
             raise ValueError("segment shorter than one sample")
 
@@ -102,7 +103,10 @@ def invert_permutation(key: Sequence[int]) -> tuple[int, ...]:
 
 
 def _split_frames(buf: AudioBuffer, cfg: ScramblerConfig):
-    """Full frames as an (n_frames, frame_size, segment_samples) view plus the tail."""
+    """Full frames as an (n_frames, frame_size, segment_samples) view plus the tail;
+    every cut of audio into frames goes through here."""
+    if buf.sample_rate != cfg.sample_rate:
+        raise ValueError(f"audio at {buf.sample_rate} Hz does not match the {cfg.sample_rate} Hz geometry")
     n_frames = cfg.frame_count(len(buf))
     body = buf.samples[: n_frames * cfg.frame_samples]
     tail = buf.samples[n_frames * cfg.frame_samples :]

@@ -1,7 +1,11 @@
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,6 +385,43 @@ def test_synthesize_rejects_bad_arguments():
         synthesize_speechlike(0.0, seed=1)
     with pytest.raises(ValueError):
         synthesize_speechlike(1.0, seed=1, sample_rate=0)
+
+
+def test_synthesize_refuses_a_fractional_rate_before_drawing_samples(monkeypatch):
+    def unreachable(seed):
+        raise AssertionError("the generator was built before the rate was checked")
+
+    monkeypatch.setattr(audio_io.np.random, "PCG64", unreachable)
+    with pytest.raises(ValueError, match="^sample_rate must be a positive whole number, got 8000.5$"):
+        synthesize_speechlike(10.0, 0, 8000.5)
+
+
+_LOW_RATES = """
+from audiojigsaw.audio_io import synthesize_speechlike
+for rate in (1, 100, 135):
+    try:
+        synthesize_speechlike(1.0, 0, rate)
+    except ValueError as exc:
+        print(rate, exc)
+    else:
+        print(rate, "accepted")
+print(136, len(synthesize_speechlike(1.0, 0, 136)))
+"""
+
+
+def test_synthesize_refuses_rates_too_low_for_a_pitch_period():
+    """At 135 Hz and below a 270 Hz pitch period rounds to 0 samples and
+    the pulse train never advanced, so synthesis never returned; the
+    subprocess's timeout turns such a hang into a failure."""
+    src = str(Path(audio_io.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOW_RATES], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        f"{rate} sample_rate {rate} Hz is too low for a 270 Hz pitch period" for rate in (1, 100, 135)
+    ] + ["136 136"]
 
 
 def _traced_peak(build):

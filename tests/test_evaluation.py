@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from audiojigsaw.evaluation import accuracy, summarize_accuracy
+from audiojigsaw.evaluation import accuracy
 from references import block_accuracy, sub_block_matches
 
 IDENT8 = tuple(range(8))
@@ -87,12 +87,3 @@ def test_accuracy_validation():
         sub_block_matches((0, 1), (1, 0), 3)
     with pytest.raises(ValueError):
         sub_block_matches((0, 1), (1, 0), 0)
-
-
-def test_summarize_accuracy():
-    report = summarize_accuracy([0.5, 0.7, 0.9])
-    assert report.mean == pytest.approx(0.7)
-    assert report.std == pytest.approx(0.2)
-    assert summarize_accuracy([0.4]).std == 0.0
-    with pytest.raises(ValueError):
-        summarize_accuracy([])

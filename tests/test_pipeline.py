@@ -226,6 +226,14 @@ def test_attack_of_a_block_with_fallback_sides_matches_attacking_each_frame_alon
     assert estimate.samples.tobytes() == np.concatenate(alone_estimates).tobytes()
 
 
+def test_attack_refuses_a_cipher_at_another_rate_than_its_geometry():
+    """The default 8 kHz config used to cut a 2 s, 16 kHz cipher into 12
+    frames of 20 ms segments instead of refusing it."""
+    cipher = synthesize_speechlike(2.0, seed=3, sample_rate=16000)
+    with pytest.raises(ValueError, match="^audio at 16000 Hz does not match the 8000 Hz geometry$"):
+        attack(cipher)
+
+
 def test_attack_validation():
     geom = ScramblerConfig(frame_size=4)
     short = AudioBuffer(np.zeros(geom.frame_samples - 1), 8000)
@@ -238,12 +246,22 @@ def test_attack_validation():
 
 
 def test_format_rows_cells():
+    """N, the segment duration and the method come from the attack's config."""
+    geom = ScramblerConfig(frame_size=2, segment_ms=40.0)
     result = FrameAttackResult(0, (1, 0), 2.5, 17, 1.234, accuracy=None)
-    row = format_rows([result], 3, 2, 40.0, math.inf, "none", "puzzle")[0]
+    plain = AttackConfig(scrambler=geom, use_estimation=False)
+    row = format_rows([result], 3, plain, math.inf, "none")[0]
     assert row == ["3", "0", "2", "40", "", "none", "puzzle", "2.500000", "", "17", "1.234"]
     scored = FrameAttackResult(1, (0, 1), 0.0, 1, 0.5, accuracy=0.25)
-    row = format_rows([scored], 0, 2, 40.0, 20.0, "channel", "puzzle+rls")[0]
-    assert row[4] == "20" and row[8] == "0.250000"
+    row = format_rows([scored], 0, AttackConfig(scrambler=geom), 20.0, "channel")[0]
+    assert row[4] == "20" and row[6] == "puzzle+rls" and row[8] == "0.250000"
+    wide = AttackConfig(scrambler=ScramblerConfig(frame_size=12, segment_ms=32.5))
+    assert format_rows([result], 0, wide, math.inf, "none")[0][2:4] == ["12", "32.5"]
+
+
+def test_attack_config_method_names_the_extension():
+    assert AttackConfig().method == "puzzle+rls"
+    assert AttackConfig(use_estimation=False).method == "puzzle"
 
 
 def test_results_csv_header(tmp_path):

@@ -22,6 +22,7 @@ def test_config_sample_counts():
     cfg = ScramblerConfig(frame_size=6, segment_ms=25.0, sample_rate=16000)
     assert cfg.segment_samples == 400
     assert cfg.frame_samples == 2400
+    assert type(ScramblerConfig(sample_rate=np.float64(16000.0)).sample_rate) is int
 
 
 def test_config_validation():
@@ -35,14 +36,26 @@ def test_config_validation():
         ScramblerConfig(sample_rate=0)
     with pytest.raises(ValueError):
         ScramblerConfig(segment_ms=0.01, sample_rate=8000)  # rounds to 0 samples
+    with pytest.raises(ValueError, match="^sample_rate must be a positive whole number, got 8000.5$"):
+        ScramblerConfig(8, 40.0, 8000.5)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_config_refuses_non_finite_values(bad):
     with pytest.raises(ValueError, match="^segment_ms must be finite and positive$"):
         ScramblerConfig(segment_ms=bad)
-    with pytest.raises(ValueError, match="^sample_rate must be finite and positive$"):
+    with pytest.raises(ValueError, match="^sample_rate must be a positive whole number, got "):
         ScramblerConfig(sample_rate=bad)
+
+
+@pytest.mark.parametrize("transform", [scramble, descramble])
+def test_buffer_at_another_rate_than_the_geometry_is_refused(transform):
+    """A 16 kHz buffer cut with an 8 kHz geometry used to be framed with
+    segments of half the configured duration."""
+    cfg = ScramblerConfig(frame_size=4, segment_ms=1.0, sample_rate=8000)
+    buf = AudioBuffer(np.arange(4 * cfg.frame_samples, dtype=np.float64), 16000)
+    with pytest.raises(ValueError, match="^audio at 16000 Hz does not match the 8000 Hz geometry$"):
+        transform(buf, cfg, make_key_schedule(1, 4, 4))
 
 
 def test_invert_permutation_hand_case():
