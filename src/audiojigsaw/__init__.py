@@ -16,7 +16,7 @@ from .audio_io import (
     vad_trim,
     write_wav,
 )
-from .estimator import RlsConfig, extend_frame, extend_segment
+from .estimator import RlsConfig, extend_segment
 from .evaluation import accuracy
 from .pipeline import (
     AttackConfig,
@@ -41,10 +41,9 @@ from .scrambler import (
     save_keys,
     scramble,
 )
-from .solver import SolveReport, recover_key, solve_bnb
+from .solver import SolveReport, solve_bnb
 from .spectrogram import (
     StftConfig,
-    hamming_window,
     quantize_frame,
     segmented_spectrogram,
     write_pgm,
@@ -71,18 +70,15 @@ __all__ = [
     "attack",
     "build_distance_matrix",
     "descramble",
-    "extend_frame",
     "extend_segment",
     "format_rows",
     "frame_pieces",
-    "hamming_window",
     "invert_permutation",
     "keyspace_bits",
     "load_keys",
     "make_key_schedule",
     "quantize_frame",
     "read_wav",
-    "recover_key",
     "save_keys",
     "scramble",
     "segmented_spectrogram",

@@ -238,12 +238,13 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
     All randomness comes from one PCG64 generator, so the output is a
     pure function of (duration_s, seed, sample_rate).
 
-    ``sample_rate`` must pass :func:`_whole_sample_rate` and exceed 135 Hz,
-    where a 270 Hz pitch period would round to 0 samples; both are checked
-    before any sample is drawn.
+    ``duration_s`` must be finite and positive, and ``sample_rate`` must
+    pass :func:`_whole_sample_rate` and exceed 135 Hz, where a 270 Hz pitch
+    period would round to 0 samples; all are checked before any sample is
+    drawn.
     """
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
     sample_rate = _whole_sample_rate(sample_rate)
     if round(sample_rate / _F0_RANGE_HZ[1]) < 1:
         raise ValueError(f"sample_rate {sample_rate} Hz is too low for a {_F0_RANGE_HZ[1]:g} Hz pitch period")
@@ -360,7 +361,8 @@ def add_awgn(buf: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
     Noise variance is mean(x^2) / 10^(snr_db/10).  Deviates come from
     numpy's PCG64 generator (ziggurat standard-normal transform), so the
     channel is byte-reproducible for a given seed.  An snr_db of +inf
-    returns the input unchanged; NaN and -inf are refused.
+    returns the input unchanged; NaN and -inf are refused, and so is a
+    finite snr_db whose noise deviation is not a positive finite float.
     """
     if snr_db == math.inf:
         return buf
@@ -369,7 +371,12 @@ def add_awgn(buf: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
     power = float(np.mean(buf.samples**2)) if len(buf) else 0.0
     if power == 0.0:
         raise ValueError("zero-power signal: SNR is undefined")
-    sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
+    try:
+        sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"snr_db {snr_db:g} gives no positive finite noise deviation")
     rng = np.random.Generator(np.random.PCG64(seed))
     # sigma * z + x, built in place in the deviates' array; float + and *
     # commute, so the bits are those of x + sigma * z.

@@ -22,19 +22,20 @@ has no Cholesky factor falls back to LU.  The recursion itself and the
 normal equations solved by LU on the product of the Hankel matrices are
 kept as references in the tests (``tests/references.py``).
 
-``extend_frame`` extends all 2N sides of a frame, or of a stack of F
-frames, at once: weights for all 2FN sides in one solve, then one
-forecast loop over a ``(taps, 2FN)`` work window.  Each step
-multiplies the window by the weights and reduces over the outer axis,
-which numpy does by adding whole rows one after another: tap by tap, from
-+0.0, in the order of the per-side dot product ``w @ x[::-1]`` (its
-negative stride keeps that product off BLAS, in numpy's sequential loop).  Columns never mix, so every
-forecast sample is bit-identical to extending the sides one by one, however
-many sides share the window.  ``@``, ``einsum`` or a reduce along a
-contiguous axis may use BLAS or pairwise summation instead and move the
-last bits.  A zero-input IIR filter response is no replacement either: it
-accumulates in another order, and the +/-4 clamp acts inside the feedback
-loop, which a filter run cannot reproduce.
+``extend_segment`` extends both sides of every segment it is given (one
+segment, a frame of N or a stack of F frames) at once: weights for all
+2FN sides in one solve, then one forecast loop over a ``(taps, 2FN)``
+work window.  Each step multiplies the window by the weights and reduces
+over the outer axis, which numpy does by adding whole rows one after
+another: tap by tap, from +0.0, in the order of the per-side dot product
+``w @ x[::-1]`` (its negative stride keeps that product off BLAS, in
+numpy's sequential loop).  Columns never mix, so every forecast sample is
+bit-identical to extending the sides one by one, however many sides share
+the window.  ``@``, ``einsum`` or a reduce along a contiguous axis may use
+BLAS or pairwise summation instead and move the last bits.  A zero-input
+IIR filter response is no replacement either: it accumulates in another
+order, and the +/-4 clamp acts inside the feedback loop, which a filter
+run cannot reproduce.
 """
 
 from __future__ import annotations
@@ -210,36 +211,37 @@ def _solve(
     return w
 
 
-def extend_frame(segments, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndarray:
-    """Continue every segment of a frame ``length`` samples into the past and the future.
+def extend_segment(segments, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndarray:
+    """Continue every segment ``length`` samples into the past and the future.
 
-    ``segments`` is one frame's ``(N, L)`` array or an ``(F, N, L)`` stack
-    of frames; each row of the ``(..., N, L + 2 length)`` result is its
-    segment flanked by its past and future forecasts, with the segment
-    itself in the middle bit for bit.  The future side feeds back one-step
-    predictions from weights trained forward over the segment; the past
-    side does the same on the reversed segment.  One ``_terminal_weights``
-    call covers every side of every frame, and one forecast loop then
-    advances them all.  Forecast magnitudes are clamped to +/-4, so a runaway predictor
-    cannot corrupt the spectrogram scale; each clamped side logs one
-    warning, frame by frame, segment by segment, future side first.
+    ``segments`` is one ``(L,)`` segment, one frame's ``(N, L)`` array or an
+    ``(F, N, L)`` stack of frames; each row of the ``(..., L + 2 length)``
+    result is its segment flanked by its past and future forecasts, with the
+    segment itself in the middle bit for bit.  The future side feeds back
+    one-step predictions from weights trained forward over the segment; the
+    past side does the same on the reversed segment.  One
+    ``_terminal_weights`` call covers every side of every segment, and one
+    forecast loop then advances them all.  Forecast magnitudes are clamped
+    to +/-4, so a runaway predictor cannot corrupt the spectrogram scale;
+    each clamped side logs one warning, segment by segment in row order,
+    future side first.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
     x = np.asarray(segments, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.size == 0:
+    if x.ndim not in (1, 2, 3) or x.size == 0:
         raise ValueError(
-            "segments must be a non-empty 2-d (count, samples) array or a 3-d stack of them"
+            "segments must be a non-empty (L,) segment, (N, L) frame or (F, N, L) stack of frames"
         )
     if length == 0:
         return x.copy()
     taps = cfg.order + 1
     if x.shape[-1] < taps + 1:
         raise ValueError(f"segments must be longer than {taps} samples")
-    frames = x.reshape(-1, *x.shape[-2:])
-    # Row 2i of a frame's sides is segment i forward (its future side), row 2i + 1
-    # reversed (its past); frame f's sides follow frame f - 1's.
-    sides = np.stack([frames, frames[..., ::-1]], axis=2).reshape(-1, x.shape[-1])
+    rows = x.reshape(-1, x.shape[-1])
+    # Row 2i of the sides is segment i forward (its future side), row 2i + 1
+    # reversed (its past).
+    sides = np.stack([rows, rows[:, ::-1]], axis=1).reshape(-1, x.shape[-1])
     weights = _terminal_weights(sides, cfg).T.copy()
     work = np.empty((taps + length, weights.shape[1]))
     work[:taps] = sides[:, -taps:].T
@@ -253,16 +255,3 @@ def extend_frame(segments, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndar
             logger.warning("clamped %d of %d forecast samples to +/-%g", clamped, length, _CLAMP)
     forecast = work[taps:].T.reshape(*x.shape[:-1], 2, length)
     return np.concatenate([forecast[..., 1, ::-1], x, forecast[..., 0, :]], axis=-1)
-
-
-def extend_segment(segment, length: int, cfg: RlsConfig = RlsConfig()) -> np.ndarray:
-    """Continue one segment ``length`` samples into the past and the future.
-
-    The one-segment case of :func:`extend_frame`, with the same forecasts
-    and clamp warnings: the ``(L + 2 length,)`` result holds the segment
-    bit for bit at ``[length : length + L]``.
-    """
-    x = np.asarray(segment, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("segment must be one-dimensional")
-    return extend_frame(x[None], length, cfg)[0]

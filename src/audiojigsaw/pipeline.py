@@ -3,9 +3,9 @@
 Per frame the attack never touches the key: segments are cut from the
 scrambled signal, optionally continued past their borders by prediction,
 rendered as quantized spectrogram pieces, and reassembled by exact search
-over seam distances.  The permutation that falls out IS the recovered key
-material; the audio estimate is the scrambled signal descrambled with the
-recovered keys.
+over seam distances.  The order that falls out IS the recovered key
+material; the audio estimate is the scrambled signal's segments gathered
+in that order.
 """
 
 from __future__ import annotations
@@ -20,21 +20,20 @@ from typing import Sequence
 import numpy as np
 
 from .audio_io import AudioBuffer, add_awgn, read_wav, synthesize_speechlike, vad_trim
-# extend_segment is no longer called here, but perfbench/tracer.py wraps it by this name.
-from .estimator import RlsConfig, extend_frame, extend_segment  # noqa: F401
+from .estimator import RlsConfig, extend_segment
 from .evaluation import accuracy
 from .puzzle import DistanceConfig, build_distance_matrix
 from .scrambler import (
     KeySchedule,
     ScramblerConfig,
     _check_schedule,
+    _gather_segments,
     _split_frames,
-    descramble,
     invert_permutation,
     make_key_schedule,
     scramble,
 )
-from .solver import recover_key, solve_bnb
+from .solver import solve_bnb
 from .spectrogram import StftConfig, quantize_frame, segmented_spectrogram
 
 
@@ -86,7 +85,7 @@ def frame_pieces(segments: np.ndarray, cfg: AttackConfig) -> np.ndarray:
     if segments.ndim not in (2, 3):
         raise ValueError("segments must be an (N, L) frame or an (F, N, L) stack of frames")
     if cfg.use_estimation:
-        segments = extend_frame(segments, cfg.stft.window_size - 1, cfg.rls)
+        segments = extend_segment(segments, cfg.stft.window_size - 1, cfg.rls)
     if segments.ndim == 2:
         return quantize_frame(segmented_spectrogram(segments, cfg.stft))
     return np.stack([quantize_frame(segmented_spectrogram(s, cfg.stft)) for s in segments])
@@ -99,11 +98,11 @@ def attack(
 ) -> tuple[AudioBuffer, list[FrameAttackResult]]:
     """Reassemble every full frame of a scrambled signal without its keys.
 
-    Returns the plaintext estimate, which is ``cipher`` descrambled with
-    the keys recovered from each frame's arrangement (trailing partial
-    frame passed through), and one result per frame.  When ``truth`` is supplied each result also
-    carries the accuracy of the recovered order against the true one (the
-    inverse of that frame's key).
+    Returns the plaintext estimate, whose frame f holds ``cipher``'s
+    segments of frame f in its recovered arrangement (trailing partial
+    frame passed through), and one result per frame.  When ``truth`` is
+    supplied each result also carries the accuracy of the recovered order
+    against the true one (the inverse of that frame's key).
 
     Frames go through the stages in blocks of ``_BLOCK_FRAMES``: one
     ``frame_pieces`` call and one distance call per block, then one solve
@@ -133,8 +132,8 @@ def attack(
             results.append(
                 FrameAttackResult(f, report.order, report.cost, report.nodes_expanded, elapsed_ms, score)
             )
-    keys = KeySchedule(tuple(recover_key(r.arrangement) for r in results))
-    return descramble(cipher, geom, keys), results
+    orders = KeySchedule(tuple(r.arrangement for r in results))
+    return _gather_segments(cipher, geom, orders), results
 
 
 CSV_HEADER = (

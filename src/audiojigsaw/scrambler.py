@@ -122,16 +122,14 @@ def _check_schedule(ks: KeySchedule, cfg: ScramblerConfig, n_frames: int) -> Non
         raise ValueError(f"key schedule has {len(ks)} keys but {n_frames} frames need one")
 
 
-def _gather_segments(
-    buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule, keys: Sequence[Sequence[int]]
-) -> AudioBuffer:
-    """Output segment i of full frame f is its input segment keys[f][i], all
+def _gather_segments(buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule) -> AudioBuffer:
+    """Output segment i of full frame f is its input segment ks.keys[f][i], all
     frames in one gather straight into the output; a trailing partial frame
     passes through untouched."""
     frames, tail = _split_frames(buf, cfg)
     n_frames = len(frames)
     _check_schedule(ks, cfg, n_frames)
-    index = np.array(keys[:n_frames], dtype=np.intp).reshape(n_frames, cfg.frame_size)
+    index = np.array(ks.keys[:n_frames], dtype=np.intp)
     index += cfg.frame_size * np.arange(n_frames)[:, None]
     segments = frames.reshape(-1, cfg.segment_samples)
     out = np.empty(len(buf))
@@ -150,12 +148,12 @@ def scramble(buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule) -> AudioBu
     A trailing partial frame passes through untouched; a signal shorter
     than one frame is refused.
     """
-    return _gather_segments(buf, cfg, ks, ks.keys)
+    return _gather_segments(buf, cfg, ks)
 
 
 def descramble(buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule) -> AudioBuffer:
     """Invert :func:`scramble`: output segment key[i] receives input segment i."""
-    return _gather_segments(buf, cfg, ks, [invert_permutation(key) for key in ks.keys])
+    return _gather_segments(buf, cfg, KeySchedule(tuple(invert_permutation(k) for k in ks.keys)))
 
 
 def keyspace_bits(minutes: float, segment_ms: float, frame_size: int) -> int:

@@ -76,11 +76,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .scrambler import invert_permutation
 
 # Frames of at most this many pieces are bounded by the exact completion table.
 _TABLE_MAX_PIECES = 12
@@ -487,15 +486,3 @@ def solve_bnb(
 
     return SolveReport(inc_order, inc_cost, expanded)
 
-
-def recover_key(arrangement: Sequence[int]) -> tuple[int, ...]:
-    """Permutation key whose descramble reorders cipher segments into ``arrangement``.
-
-    Descrambling sends input segment i to output slot key[i]; asking slot j
-    to hold cipher segment arrangement[j] makes the key the inverse
-    permutation of the arrangement.
-    """
-    n = len(arrangement)
-    if sorted(arrangement) != list(range(n)):
-        raise ValueError("arrangement must be a permutation")
-    return invert_permutation(arrangement)

@@ -250,6 +250,16 @@ def test_awgn_refuses_nan_and_negative_infinite_snr(snr_db):
         add_awgn(buf, snr_db, seed=5)
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, 3100.0, -3100.0, -4000.0])
+def test_awgn_refuses_a_finite_snr_without_a_positive_finite_deviation(snr_db):
+    """10^(snr/10) overflows above about 3,083 dB; below about -3,083 dB
+    the division overflows to an infinite deviation or, once the power
+    ratio underflows to zero, divides by zero."""
+    buf = AudioBuffer(np.sin(np.arange(1000) * 0.1), 8000)
+    with pytest.raises(ValueError, match=f"^snr_db {snr_db:g} gives no positive finite noise deviation$"):
+        add_awgn(buf, snr_db, seed=5)
+
+
 def test_synthesize_deterministic():
     a = synthesize_speechlike(1.0, seed=42)
     b = synthesize_speechlike(1.0, seed=42)
@@ -394,6 +404,17 @@ def test_synthesize_refuses_a_fractional_rate_before_drawing_samples(monkeypatch
     monkeypatch.setattr(audio_io.np.random, "PCG64", unreachable)
     with pytest.raises(ValueError, match="^sample_rate must be a positive whole number, got 8000.5$"):
         synthesize_speechlike(10.0, 0, 8000.5)
+
+
+@pytest.mark.parametrize("duration_s", [math.inf, math.nan, -1.0])
+def test_synthesize_refuses_a_duration_that_is_not_finite_and_positive(monkeypatch, duration_s):
+    def unreachable(seed):
+        raise AssertionError("the generator was built before the duration was checked")
+
+    monkeypatch.setattr(audio_io.np.random, "PCG64", unreachable)
+    message = f"^duration_s must be finite and positive, got {re.escape(str(duration_s))}$"
+    with pytest.raises(ValueError, match=message):
+        synthesize_speechlike(duration_s, 0)
 
 
 _LOW_RATES = """

@@ -101,6 +101,21 @@ def test_sweep_non_finite_snr_is_data_error(tmp_path, capsys, snr):
     assert "error: snr_db must be finite or +inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+def test_sweep_non_finite_duration_is_data_error(tmp_path, capsys, duration):
+    code = main(["sweep", "--csv", str(tmp_path / "sweep.csv"), "--duration", duration])
+    assert code == 2
+    assert f"error: duration_s must be finite and positive, got {duration}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+def test_sweep_extreme_finite_snr_is_data_error(tmp_path, capsys, snr):
+    code = main(["sweep", "--csv", str(tmp_path / "sweep.csv"), f"--snr-db={snr}",
+                 "--noise-at", "channel", "--duration", "0.35"])
+    assert code == 2
+    assert f"error: snr_db {snr} gives no positive finite noise deviation" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_sweep_snr_without_noise_at_is_usage_error(tmp_path, capsys, source):
     """An SNR grid with nowhere to add the noise used to run a clean sweep."""

@@ -12,7 +12,6 @@ from audiojigsaw.estimator import (
     _INIT_REG,
     RlsConfig,
     _terminal_weights,
-    extend_frame,
     extend_segment,
 )
 from audiojigsaw.pipeline import AttackConfig, attack
@@ -275,7 +274,7 @@ def _reference_extend_frame(segments, length, cfg):
 
 def _assert_frame_matches_reference(segments, length, cfg):
     want, _ = _reference_extend_frame(segments, length, cfg)
-    got = extend_frame(segments, length, cfg)
+    got = extend_segment(segments, length, cfg)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -290,7 +289,7 @@ _BYTE_CASES = {**_EXTENSION_CASES, "negative zeros": np.full(320, -0.0)}
 def test_extend_frame_matches_per_side_reference_bytes(name):
     segment = _BYTE_CASES[name]
     want, _ = _reference_extend_frame(segment[None], 59, RlsConfig())
-    assert extend_frame(segment[None], 59).tobytes() == want.tobytes()
+    assert extend_segment(segment[None], 59).tobytes() == want.tobytes()
     assert extend_segment(segment, 59).tobytes() == want[0].tobytes()
 
 
@@ -308,19 +307,17 @@ def test_extend_frame_matches_per_side_reference_on_speech(frame_size):
 
 def test_extend_frame_zero_length_and_validation():
     frame = np.arange(640, dtype=np.float64).reshape(2, 320)
-    got = extend_frame(frame, 0)
+    got = extend_segment(frame, 0)
     assert got.tobytes() == frame.tobytes() and got is not frame
     # a zero-length extension never trains a predictor, so short segments pass
-    assert extend_frame(np.ones((3, 5)), 0).shape == (3, 5)
+    assert extend_segment(np.ones((3, 5)), 0).shape == (3, 5)
     with pytest.raises(ValueError, match="^length must be non-negative$"):
-        extend_frame(frame, -1)
+        extend_segment(frame, -1)
     with pytest.raises(ValueError, match="^segments must be longer than 53 samples$"):
-        extend_frame(np.ones((2, 53)), 5)
-    for bad in (np.ones(320), np.ones((2, 2, 2, 320)), np.ones((0, 320))):
-        with pytest.raises(ValueError, match="^segments must be a non-empty 2-d"):
-            extend_frame(bad, 5)
-    with pytest.raises(ValueError, match="^segment must be one-dimensional$"):
-        extend_segment(np.ones((2, 320)), 5)
+        extend_segment(np.ones((2, 53)), 5)
+    for bad in (np.float64(1.0), np.ones(0), np.ones((2, 2, 2, 320)), np.ones((0, 320))):
+        with pytest.raises(ValueError, match=r"^segments must be a non-empty \(L,\) segment"):
+            extend_segment(bad, 5)
 
 
 def test_extend_frame_logs_clamps_like_the_per_side_loop(caplog):
@@ -342,7 +339,7 @@ def test_extend_frame_logs_clamps_like_the_per_side_loop(caplog):
     _, want = _reference_extend_frame(frame, 59, cfg)
     assert want == [4, 3, 4, 6, 2]
     with caplog.at_level(logging.WARNING, logger="audiojigsaw.estimator"):
-        extend_frame(frame, 59, cfg)
+        extend_segment(frame, 59, cfg)
     assert [r.getMessage() for r in caplog.records] == [
         f"clamped {c} of 59 forecast samples to +/-4" for c in want
     ]
@@ -375,10 +372,10 @@ def test_extend_frame_of_a_stack_matches_one_frame_at_a_time(seed, caplog):
     x = synthesize_speechlike(10.0, seed=seed).samples
     frames = x[: x.size // 2560 * 2560].reshape(-1, 8, 320)
     with caplog.at_level(logging.WARNING, logger="audiojigsaw.estimator"):
-        want = [extend_frame(frame, 59) for frame in frames]
+        want = [extend_segment(frame, 59) for frame in frames]
         one_by_one = [r.getMessage() for r in caplog.records]
         caplog.clear()
-        got = extend_frame(frames, 59)
+        got = extend_segment(frames, 59)
     assert one_by_one
     assert [r.getMessage() for r in caplog.records] == one_by_one
     assert got.shape == (len(frames), 8, 320 + 2 * 59)
@@ -443,7 +440,7 @@ def test_extend_frame_on_degenerate_gram_matrices(name, caplog):
     segments, cfg = _DEGENERATE_CASES[name]
     want, counts = _reference_extend_frame(segments, 59, cfg)
     with caplog.at_level(logging.WARNING, logger="audiojigsaw.estimator"):
-        got = extend_frame(segments, 59, cfg)
+        got = extend_segment(segments, 59, cfg)
     assert np.all(np.isfinite(got)) and np.max(np.abs(got)) <= 4.0
     assert got.tobytes() == want.tobytes()
     assert [r.getMessage() for r in caplog.records] == [

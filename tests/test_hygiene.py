@@ -9,12 +9,6 @@ import audiojigsaw
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "audiojigsaw"
 
-# Imported names that a module keeps without using them, with the reason.
-KEPT_IMPORTS = {
-    # perfbench's tracer wraps pipeline.extend_segment by this name.
-    ("pipeline", "extend_segment"),
-}
-
 
 def _unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
@@ -32,8 +26,7 @@ def _unused_imports(source: str) -> list[str]:
     "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 )
 def test_modules_use_every_name_they_import(module):
-    unused = _unused_imports((PACKAGE / f"{module}.py").read_text())
-    assert [name for name in unused if (module, name) not in KEPT_IMPORTS] == []
+    assert _unused_imports((PACKAGE / f"{module}.py").read_text()) == []
 
 
 def test_unused_import_check_sees_dangling_names():

@@ -10,7 +10,7 @@ from audiojigsaw.audio_io import AudioBuffer, add_awgn, synthesize_speechlike
 from audiojigsaw.pipeline import AttackConfig, attack, frame_pieces
 from audiojigsaw.puzzle import arrangement_cost, build_distance_matrix
 from audiojigsaw.scrambler import ScramblerConfig, _split_frames, make_key_schedule, scramble
-from audiojigsaw.solver import SolveReport, min_arborescence_weight, recover_key, solve_bnb
+from audiojigsaw.solver import SolveReport, min_arborescence_weight, solve_bnb
 from references import (
     completion_table_by_enumeration,
     completion_table_flat,
@@ -749,25 +749,6 @@ def test_on_expand_reports_admissible_bounds():
     assert seen
     for prefix, cost, bound in seen:
         assert bound <= exact + 1e-9 or len(prefix) == 6
-
-
-def test_recover_key_hand_case():
-    # arrangement (1, 3, 0, 2): cipher piece 1 is the true first segment.
-    # The key that scrambles clear audio into that cipher is (2, 0, 3, 1).
-    assert recover_key((1, 3, 0, 2)) == (2, 0, 3, 1)
-    assert recover_key((0, 1, 2)) == (0, 1, 2)
-
-
-def test_recover_key_round_trip():
-    """Scrambling with the recovered key reproduces the cipher order."""
-    rng = np.random.Generator(np.random.PCG64(31))
-    for _ in range(30):
-        n = int(rng.integers(2, 10))
-        key = tuple(int(v) for v in rng.permutation(n))
-        clear = list(range(n))
-        cipher = [clear[k] for k in key]  # scrambled segment i = clear[key[i]]
-        arrangement = tuple(cipher.index(s) for s in clear)  # solver's truth
-        assert recover_key(arrangement) == key
 
 
 def test_solve_report_is_frozen():

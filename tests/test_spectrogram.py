@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from audiojigsaw.audio_io import synthesize_speechlike
-from audiojigsaw.estimator import extend_frame
+from audiojigsaw.estimator import extend_segment
 from audiojigsaw.spectrogram import (
     StftConfig,
     hamming_window,
@@ -152,7 +152,7 @@ def _frames(count, seed, length=320, extend=False):
     x = synthesize_speechlike(count * 8 * 320 / 8000, seed=seed).samples
     for frame in x[: count * 8 * 320].reshape(count, 8, 320):
         if extend:
-            yield list(extend_frame(frame, 59))
+            yield list(extend_segment(frame, 59))
         else:
             yield [seg[:length] for seg in frame]
 
