@@ -3,8 +3,8 @@
 
 Writes plain.wav, scrambled.wav and restored.wav into the output
 directory and verifies the round trip is bit-exact.  Also prints how many
-bits an eavesdropper would need to enumerate every possible key sequence,
-which is the reason brute force is off the table.
+bits of work an eavesdropper spends trying every key of each frame on its
+own, the most a frame-by-frame attack can need.
 """
 
 import argparse
@@ -53,7 +53,7 @@ def main():
     print(f"descramble(scramble(x)) == x: {exact}")
     minutes = 5.0
     bits = keyspace_bits(minutes, args.segment_ms, args.frame_size)
-    print(f"enumerating all keys of a {minutes:g}-minute call: {bits} bits")
+    print(f"trying every key of each frame of a {minutes:g}-minute call: {bits} bits")
     print(f"WAVs in {out}/")
 
 

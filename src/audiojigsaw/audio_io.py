@@ -68,6 +68,26 @@ def _whole_sample_rate(rate) -> int:
     return whole
 
 
+def _snr_power_ratio(snr_db: float) -> float:
+    """The package's one SNR rule: the power ratio 10^(snr_db/10), +inf for +inf.
+
+    NaN, -inf and finite values whose ratio is not a positive finite float
+    (beyond about +-3,083 dB) are refused: no signal power gives them a
+    positive finite noise deviation.
+    """
+    if snr_db == math.inf:
+        return math.inf
+    if not math.isfinite(snr_db):
+        raise ValueError("snr_db must be finite or +inf")
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"snr_db {snr_db:g} gives no positive finite noise deviation")
+    return ratio
+
+
 @dataclass(frozen=True)
 class AudioBuffer:
     """Mono audio: float64 samples plus their sample rate in Hz.
@@ -238,10 +258,11 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
     All randomness comes from one PCG64 generator, so the output is a
     pure function of (duration_s, seed, sample_rate).
 
-    ``duration_s`` must be finite and positive, and ``sample_rate`` must
-    pass :func:`_whole_sample_rate` and exceed 135 Hz, where a 270 Hz pitch
-    period would round to 0 samples; all are checked before any sample is
-    drawn.
+    ``duration_s`` must be finite and last at least one sample, and
+    ``sample_rate`` must pass :func:`_whole_sample_rate` and exceed 135 Hz,
+    where a 270 Hz pitch period would round to 0 samples; all are checked,
+    and the output allocated, before any sample is drawn, so a duration
+    too long for memory is refused at once.
     """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
@@ -249,6 +270,12 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
     if round(sample_rate / _F0_RANGE_HZ[1]) < 1:
         raise ValueError(f"sample_rate {sample_rate} Hz is too low for a {_F0_RANGE_HZ[1]:g} Hz pitch period")
     n = int(round(duration_s * sample_rate))
+    if n == 0:
+        raise ValueError(f"duration_s {duration_s:g} s is shorter than one sample at {sample_rate} Hz")
+    try:
+        out = np.empty(n)
+    except MemoryError as err:
+        raise ValueError(f"duration_s {duration_s:g} s needs {n} samples, more than memory holds") from err
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def track_keys(lo, hi, span):
@@ -300,7 +327,6 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
     formant_keys = [track_keys(f_lo, f_hi, _FORMANT_SPAN_S) for f_lo, f_hi in _RESONANCE_BANDS]
     a1_gain = np.array([[2.0 * radius] for radius in _RESONANCE_RADII])
 
-    out = np.empty(n)
     state = [0.0] * 7
     pos = 0
     for lo in range(0, n, _CHUNK):
@@ -361,20 +387,17 @@ def add_awgn(buf: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
     Noise variance is mean(x^2) / 10^(snr_db/10).  Deviates come from
     numpy's PCG64 generator (ziggurat standard-normal transform), so the
     channel is byte-reproducible for a given seed.  An snr_db of +inf
-    returns the input unchanged; NaN and -inf are refused, and so is a
-    finite snr_db whose noise deviation is not a positive finite float.
+    returns the input unchanged.  snr_db must pass
+    :func:`_snr_power_ratio`, and the noise deviation it gives this signal
+    must be a positive finite float.
     """
-    if snr_db == math.inf:
+    ratio = _snr_power_ratio(snr_db)
+    if ratio == math.inf:
         return buf
-    if not math.isfinite(snr_db):
-        raise ValueError("snr_db must be finite or +inf")
     power = float(np.mean(buf.samples**2)) if len(buf) else 0.0
     if power == 0.0:
         raise ValueError("zero-power signal: SNR is undefined")
-    try:
-        sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
-    except (OverflowError, ZeroDivisionError):
-        sigma = math.nan
+    sigma = math.sqrt(power / ratio)
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"snr_db {snr_db:g} gives no positive finite noise deviation")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -141,7 +141,7 @@ def _build():
     _add_analysis(p)
     p.add_argument("--no-rls", action="store_true", help="skip predictive border extension")
 
-    p = sub.add_parser("keyspace", help="print bits to enumerate a conversation's keys")
+    p = sub.add_parser("keyspace", help="print bits of work to try every key of each frame")
     p.set_defaults(run=_cmd_keyspace)
     p.add_argument("--minutes", type=float, default=5.0, help="conversation length")
     _add_framing(p)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio_io import AudioBuffer, add_awgn, read_wav, synthesize_speechlike, vad_trim
+from .audio_io import AudioBuffer, _snr_power_ratio, add_awgn, read_wav, synthesize_speechlike, vad_trim
 from .estimator import RlsConfig, extend_segment
 from .evaluation import accuracy
 from .puzzle import DistanceConfig, build_distance_matrix
@@ -221,8 +221,8 @@ class SweepSpec:
             raise ValueError("noise_at must be 'source', 'channel' or 'none'")
         if self.noise_at != "none" and not self.snr_dbs:
             raise ValueError("noisy sweep needs at least one SNR value")
-        if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_grid):
-            raise ValueError("snr_db must be finite or +inf")
+        for snr in self.snr_grid:
+            _snr_power_ratio(snr)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:

@@ -64,12 +64,12 @@ def build_distance_matrix(pieces: np.ndarray, cfg: DistanceConfig = DistanceConf
 
     Every finite distance is then rounded to the nearest multiple of 2**-32
     (ties to even); +inf stays +inf.  A distance is at most 255, so each
-    moves by at most 2**-33, and for fewer than 8,224 pieces every sum of
-    up to n entries is exact in float64.  Arrangements that tie in exact
-    arithmetic then tie in the search too, whose tie-prune needs no
-    rounding slack (``solver._rounding_slack``): a stationary tone, whose
-    pieces are identical or nearly so, takes one node per piece instead of
-    every order.
+    moves by at most 2**-33, and up to 2,055 pieces the matrix is a fixed
+    point of the grid the search rounds onto (``solver._on_grid``), where
+    every sum it forms is exact.  Arrangements that tie in exact
+    arithmetic then tie in the search too, and its tie-prune fires: a
+    stationary tone, whose pieces are identical or nearly so, takes one
+    node per piece instead of every order.
     """
     pieces = np.asarray(pieces)
     if pieces.ndim not in (3, 4) or pieces.dtype != np.uint8:

@@ -157,11 +157,13 @@ def descramble(buf: AudioBuffer, cfg: ScramblerConfig, ks: KeySchedule) -> Audio
 
 
 def keyspace_bits(minutes: float, segment_ms: float, frame_size: int) -> int:
-    """Bits needed to enumerate every key sequence of a conversation.
+    """Bits of work to try every key of each frame of a conversation on its own.
 
     A conversation of ``minutes`` minutes holds minutes*60 / (L * N) frames
     of N segments lasting L seconds each, and every frame independently
-    takes one of N! keys.  Returns ceil(log2(frames * N!)).  A conversation
+    takes one of N! keys.  Returns ceil(log2(frames * N!)): 26 bits at N=8
+    over five minutes, where whole key sequences span frames * log2(N!),
+    about 14,343 bits, that no frame-by-frame attack searches.  A conversation
     shorter than one frame is refused, as :meth:`ScramblerConfig.frame_count`
     refuses a signal without a full frame.
     """

@@ -52,14 +52,12 @@ complete into arrangements that cost at least as much and sort later, so
 none of them can win.  Silent frames, whose matrices are all ties, then
 take one branch instead of every one.
 
-A path's cost is summed left to right, the bound in another order (the
-table's completions right to left, the arborescence in contraction order),
-so in floating point a bound can exceed the cost of a path it bounds by a
-few units in the last place.  Every bound is therefore lowered by a relative
-slack gamma before it is compared with a cost (see :func:`_rounding_slack`);
-matrices whose sums are all exact, such as every seam-distance matrix
-(``build_distance_matrix`` snaps its entries to multiples of 2**-32),
-need no slack.
+A path's cost is summed left to right and a bound in another order, so in
+floating point a bound could overshoot a path it bounds, or split a tie.
+The search therefore runs on the matrix rounded onto a grid where every
+sum it forms is exact (:func:`_on_grid`); seam-distance matrices are on it
+already.  The order returned is the rounded matrix's optimum, and its cost
+is summed on the caller's matrix.
 
 The search and its bounds run on plain Python floats: the matrix is
 converted once per solve with ``tolist()``, and a child reads its one
@@ -79,6 +77,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
+
+from .puzzle import arrangement_cost
 
 
 # Frames of at most this many pieces are bounded by the exact completion table.
@@ -280,55 +280,22 @@ def _completion_table(d: np.ndarray) -> np.ndarray:
     return table
 
 
-def _rounding_slack(d: np.ndarray) -> float:
-    """Relative slack gamma by which the search lowers a bound before comparing it with a cost.
+def _on_grid(d: np.ndarray) -> np.ndarray:
+    """``d`` with each finite entry rounded to the nearest multiple of u = 2**(p - 53), 2**p > 4n max|d|.
 
-    In exact arithmetic a node's bound B never exceeds the cost C of any
-    completion; the rounded values can disagree.  Let u = 2**-53 be the
-    unit roundoff.  Any order of summing m non-negative terms errs by at
-    most (m - 1)u relative to the exact sum, to first order (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4).
-    The search sums C left to right over n - 1 arcs, so the rounded C is at
-    least C(1 - (n - 2)u).
-
-    The table bound is fl(cost + H), with the prefix's cost summed left to
-    right and the table entry H the smallest right-to-left sum over the
-    completions.  Rounding is monotonic, so for every completion that bound
-    is at most fl(cost + its right-to-left sum): one summation order of the
-    path's n - 1 arcs, at most (1 + (n - 2)u) times the path's exact cost.
-    Lowered by gamma = 4nu, it never exceeds C(1 - (n - 2)u), with over
-    2nu to spare.
-
-    The arborescence bound sums the prefix arcs and the contraction's
-    terms, at most 2n - 3 non-negative terms (an in-arc per node and level
-    plus a cost per cycle), so the sum order adds at most
-    (2n - 4)u.  Its terms at deeper levels are rounded differences of
-    arcs, at most n - 2 of them per arc (one per level), each off by at
-    most u of a non-negative result no larger than the arc, adding at most
-    (n - 2)u.  So the rounded B is at most B(1 + (3n - 6)u), and with
-    gamma = 4nu the lowered bound B(1 - gamma) never exceeds the rounded
-    cost of a path it bounds, with 8u to spare for the second-order terms.
-    The argument is for non-negative arcs, as seam distances are; a
-    negative bound is scaled by 1 + gamma instead, so the slack always
-    lowers it.
-
-    No slack is needed where every sum is exact: when each finite entry is
-    an integer multiple of 2**(p - 53), where n times the largest entry is
-    below 2**p, every sum and difference either side forms is an integer
-    number of those units below 2**53.  Seam-distance matrices, whose
-    entries are multiples of 2**-32 no larger than 255, qualify below
-    8,224 pieces, as do constant and small-integer matrices; they get
-    gamma = 0 and keep the tie-break prune of a bound that equals the
-    incumbent.
+    A path, a prefix with its table entry and a greedy chain each add at
+    most n - 1 entries; the arborescence adds at most 2n entries or reduced
+    arcs, which lie in [0, 2 max|d|].  On the grid each such sum is an
+    integer number of units u below 2**53, exact in float64 in any order.
+    +inf stays +inf; seam distances (multiples of 2**-32 up to 255) stay put
+    up to 2,055 pieces.  A matrix whose 4n max|d| overflows is refused.
     """
     n = d.shape[0]
-    finite = np.abs(d[np.isfinite(d)])
-    top = n * float(finite.max(initial=0.0))
-    if top < 2.0**53:
-        units = np.ldexp(finite, 53 - math.frexp(top)[1])
-        if np.array_equal(units, np.floor(units)):
-            return 0.0
-    return 4 * n * 2.0**-53
+    headroom = 4 * n * float(np.abs(d[d < math.inf]).max(initial=0.0))
+    if headroom == math.inf:
+        raise ValueError("distance matrix entries are too large: their sums overflow")
+    p = math.frexp(headroom)[1]
+    return np.ldexp(np.round(np.ldexp(d, 53 - p)), p - 53)
 
 
 def _arborescence_bound(
@@ -418,9 +385,10 @@ def solve_bnb(
     a node costs at least the incumbent and is lexicographically larger:
     it can neither beat the incumbent nor win the tie-break against it.
     The incumbent only ever improves, so a node pruned against an earlier
-    incumbent stays pruned against the final one.  Bounds are lowered by
-    :func:`_rounding_slack` before every comparison, so rounding cannot
-    make a bound overshoot either.
+    incumbent stays pruned against the final one.  The search runs on ``d``
+    rounded by :func:`_on_grid`, where every sum is exact, so rounding
+    cannot make a bound overshoot either; the cost returned is the order's
+    left-to-right sum on ``d`` itself (:func:`~audiojigsaw.puzzle.arrangement_cost`).
 
     A node is tested again when it pops, since the incumbent may have
     improved after it was pushed.  The arborescence bound runs the
@@ -431,17 +399,16 @@ def solve_bnb(
     every expanded internal node.
     """
     d = _validated(d)
+    grid = _on_grid(d)
     n = d.shape[0]
-    rows = d.tolist()
+    rows = grid.tolist()
     inc_order, inc_cost = _greedy_chain(rows)
-    gamma = _rounding_slack(d)
 
     def dominated(bound: float, prefix: tuple[int, ...]) -> bool:
-        bound = bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
         return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
 
     if n <= _TABLE_MAX_PIECES:
-        table = _completion_table(d)
+        table = _completion_table(grid)
 
         def open_bound(cost: float, prefix: tuple[int, ...], unplaced_mask: int) -> float | None:
             """The node's bound, or None when it is pruned."""
@@ -484,5 +451,5 @@ def solve_bnb(
         children.sort(reverse=True)
         stack.extend(children)
 
-    return SolveReport(inc_order, inc_cost, expanded)
+    return SolveReport(inc_order, arrangement_cost(d, inc_order), expanded)
 

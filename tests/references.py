@@ -215,30 +215,27 @@ def solve_bruteforce(d, max_pieces: int = 10) -> SolveReport:
 def solve_bnb_best_first(d, frontier_cap: int = 1_000_000) -> SolveReport:
     """The best-first branch and bound that :func:`~audiojigsaw.solver.solve_bnb` replaced.
 
-    Same incumbent, slack, tie-prune and bounds as the package's search
+    Same grid, incumbent, tie-prune and bounds as the package's search
     (the completion table up to ``_TABLE_MAX_PIECES`` pieces, the
     arborescence above), but the frontier is a heap that pops the smallest
     bound first (ties: deeper node, then lexicographically smaller prefix),
     and past ``frontier_cap`` entries it continues depth-first.  The heap
     can grow exponentially with the pieces: on one 16-piece speech frame
-    it held 943,249 entries.
+    it held 943,249 entries.  Like the search, it orders on the matrix
+    rounded by ``solver._on_grid`` and sums the winner's cost on ``d``.
     """
     d = _validated(d)
+    grid = solver._on_grid(d)
     n = d.shape[0]
-    rows = d.tolist()
+    rows = grid.tolist()
     inc_order, inc_cost = solver._greedy_chain(rows)
-    gamma = solver._rounding_slack(d)
     all_mask = (1 << n) - 1
 
-    def lowered(bound: float) -> float:
-        return bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
-
     def dominated(bound: float, prefix: tuple[int, ...]) -> bool:
-        bound = lowered(bound)
         return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
 
     if n <= solver._TABLE_MAX_PIECES:
-        table = solver._completion_table(d)
+        table = solver._completion_table(grid)
 
         def open_bound(cost, prefix, unplaced_mask):
             bound = cost + table.item(unplaced_mask, prefix[-1])
@@ -263,7 +260,7 @@ def solve_bnb_best_first(d, frontier_cap: int = 1_000_000) -> SolveReport:
             best_first = False
         if best_first:
             bound, neg_depth, prefix, cost, mask = heapq.heappop(frontier)
-            if lowered(bound) > inc_cost:
+            if bound > inc_cost:
                 break  # heap order: nothing better remains
             if dominated(bound, prefix):
                 continue
@@ -293,7 +290,7 @@ def solve_bnb_best_first(d, frontier_cap: int = 1_000_000) -> SolveReport:
                 heapq.heappush(frontier, entry)
             else:
                 frontier.append(entry)
-    return SolveReport(inc_order, inc_cost, expanded)
+    return SolveReport(inc_order, arrangement_cost(d, inc_order), expanded)
 
 
 def completion_table_by_enumeration(d) -> dict[tuple[int, int], float]:

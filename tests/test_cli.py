@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import signal
 
 import numpy as np
 import pytest
@@ -108,8 +109,49 @@ def test_sweep_non_finite_duration_is_data_error(tmp_path, capsys, duration):
     assert f"error: duration_s must be finite and positive, got {duration}" in capsys.readouterr().err
 
 
+class _Alarm(Exception):
+    pass
+
+
+@pytest.fixture
+def alarm():
+    """Turn a call that runs past 10 s into a test failure instead of a hang."""
+
+    def ring(signum, frame):
+        raise _Alarm
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "duration, message",
+    [
+        ("1e-9", "duration_s 1e-09 s is shorter than one sample at 8000 Hz"),
+        ("1e12", "duration_s 1e+12 s needs 8000000000000000 samples, more than memory holds"),
+    ],
+)
+def test_sweep_refuses_a_duration_it_cannot_synthesize(tmp_path, capsys, alarm, duration, message):
+    """1e-9 s rounds to no sample, and numpy's maximum of the empty signal
+    failed.  1e12 s grew the phonation plan's lists, with no end in sight,
+    before any array existed; now the output is allocated first, and its
+    8e15 samples (56.8 PiB) exceed any 64-bit address space at once."""
+    code = main(["sweep", "--csv", str(tmp_path / "sweep.csv"), "--duration", duration])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("snr", ["4000", "-4000"])
-def test_sweep_extreme_finite_snr_is_data_error(tmp_path, capsys, snr):
+def test_sweep_extreme_finite_snr_is_data_error(tmp_path, capsys, monkeypatch, snr):
+    """The spec refuses the SNR before any trial is synthesized."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trial was synthesized before the SNR was checked")
+
+    monkeypatch.setattr(pipeline, "synthesize_speechlike", unreachable)
     code = main(["sweep", "--csv", str(tmp_path / "sweep.csv"), f"--snr-db={snr}",
                  "--noise-at", "channel", "--duration", "0.35"])
     assert code == 2

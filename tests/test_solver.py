@@ -304,13 +304,13 @@ def _cheapest_in_arcs_close_a_cycle(d, nodes, root):
 
 def _reference_solve_bnb(d):
     """The search before the in-arc pre-filter: the full arborescence bound
-    for every child, with the same rounding slack and depth-first order."""
+    for every child, on the same grid and in the same depth-first order."""
     d = solver._validated(d)
+    grid = solver._on_grid(d)
     n = d.shape[0]
-    rows = d.tolist()
-    incumbent = _reference_greedy(d)
+    rows = grid.tolist()
+    incumbent = _reference_greedy(grid)
     inc_order, inc_cost = incumbent.order, incumbent.cost
-    gamma = solver._rounding_slack(d)
     bound_cache = {}
 
     def lower_bound(endpoint, unplaced_mask):
@@ -321,7 +321,6 @@ def _reference_solve_bnb(d):
         return bound_cache[key]
 
     def dominated(bound, prefix):
-        bound = bound * (1.0 - gamma) if bound > 0 else bound * (1.0 + gamma)
         return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
 
     stack = [(-math.inf, (), 0.0, (1 << n) - 1)]
@@ -347,7 +346,7 @@ def _reference_solve_bnb(d):
             if not dominated(child_bound, child_prefix):
                 children.append((child_bound, child_prefix, child_cost, child_mask))
         stack.extend(sorted(children, reverse=True))
-    return SolveReport(inc_order, inc_cost, expanded)
+    return SolveReport(inc_order, arrangement_cost(d, inc_order), expanded)
 
 
 def _reference_greedy(d):
@@ -392,9 +391,10 @@ def _assert_same_search(d):
         patch.setattr(solver, "min_arborescence_weight", only_on_cycles)
         patch.setattr(solver, "_TABLE_MAX_PIECES", 1)
         got = solve_bnb(d, on_expand=lambda *node: seen.append(node))
+    grid = solver._on_grid(d)
     for prefix, cost, bound in seen:
         nodes = [prefix[-1]] + [j for j in range(n) if j not in prefix]
-        assert bound == cost + _reference_min_arborescence_weight(d, nodes, prefix[-1])
+        assert bound == cost + _reference_min_arborescence_weight(grid, nodes, prefix[-1])
     want = _reference_solve_bnb(d)
     assert (got.order, got.cost, got.nodes_expanded) == (want.order, want.cost, want.nodes_expanded)
     tabled = solve_bnb(d)
@@ -587,7 +587,7 @@ def test_stationary_tone_takes_one_node_per_piece(hz, n, extend):
     plain = AudioBuffer(0.5 * np.sin(2 * np.pi * hz * t), geom.sample_rate)
     frames, _ = _split_frames(scramble(plain, geom, make_key_schedule(5, 1, n)), geom)
     d = build_distance_matrix(frame_pieces(frames[0], AttackConfig(geom, use_estimation=extend)))
-    assert solver._rounding_slack(d) == 0.0
+    assert np.array_equal(solver._on_grid(d), d)
     expanded = []
 
     def budget(*node):
@@ -607,11 +607,13 @@ def test_attack_orders_a_silent_frame_as_identity():
 
 
 def _assert_exact(d):
-    """The search returns the exhaustive oracle's order and cost, and so did
+    """The search returns the exhaustive oracle's order on the matrix rounded
+    onto the search's grid, at its left-to-right cost on ``d``, and so did
     the best-first search it replaced, with the same node count."""
-    exact = solve_bruteforce(d)
+    exact = solve_bruteforce(solver._on_grid(d))
     found = solve_bnb(d)
-    assert (found.order, found.cost) == (exact.order, exact.cost)
+    assert found.order == exact.order
+    assert found.cost == arrangement_cost(d, found.order)
     assert solve_bnb_best_first(d) == found
 
 
@@ -652,8 +654,9 @@ def _pooled_matrices(draw):
     return d
 
 
-# Without the rounding slack the search returns (2, 1, 0, 3): its bound
-# rounds one ulp above the cost of (1, 0, 2, 3), which ties it.
+# (1, 0, 2, 3) and (2, 1, 0, 3) tie left to right, and summed right to left
+# the bound on (2, 1, 0, 3) rounds one ulp above that cost; on the grid
+# every sum is exact and the tie-break picks (1, 0, 2, 3).
 _ROUNDING_TIE = np.array([_POOL[i] for i in (0, 2, 0, 8, 9, 0, 1, 0, 3, 0, 0, 8, 4, 6, 2, 0)])
 _ROUNDING_TIE = _ROUNDING_TIE.reshape(4, 4) + np.diag([np.inf] * 4)
 
@@ -663,30 +666,102 @@ _ROUNDING_TIE = _ROUNDING_TIE.reshape(4, 4) + np.diag([np.inf] * 4)
 @example(d=_ROUNDING_TIE)
 def test_search_is_exact_on_real_valued_ties(d):
     """Arcs drawn from a few irrational and decimal values tie arrangements
-    whose sums round differently in different orders; the search must still
-    return the left-to-right oracle's order and cost."""
+    whose sums round differently in different orders; on the grid they sum
+    exactly, and the search must return the oracle's order there."""
     _assert_exact(d)
 
 
-def test_rounding_slack_is_zero_only_where_sums_are_exact():
-    assert solver._rounding_slack(_all_ties(8, 0.0)) == 0.0
-    assert solver._rounding_slack(_all_ties(9, 2.5)) == 0.0
-    assert solver._rounding_slack(D3) == 0.0
-    assert solver._rounding_slack(-D3) == 0.0
-    assert solver._rounding_slack(np.full((4, 4), 2.0**50)) == 0.0
-    # 4 * 2**51 is not below 2**53, so sums of such arcs may round
-    assert solver._rounding_slack(np.full((4, 4), 2.0**51)) == 16 * 2.0**-53
-    assert solver._rounding_slack(_ROUNDING_TIE) == 16 * 2.0**-53
+def _grid_unit(d):
+    """The grid's unit u = 2**(p - 53), for the least p with 2**p > 4n max|d|."""
+    top = 4 * d.shape[0] * np.abs(d[np.isfinite(d)]).max()
+    return 2.0 ** (math.frexp(top)[1] - 53)
+
+
+def test_grid_keeps_matrices_whose_sums_are_exact():
+    negated = np.where(np.isfinite(D3), -D3, np.inf)
+    for d in (_all_ties(8, 0.0), _all_ties(9, 2.5), D3, negated, np.full((4, 4), 2.0**51)):
+        assert np.array_equal(solver._on_grid(d), d)
     # seam distances are snapped to multiples of 2**-32, so their sums are
-    # exact; a third of them is off that grid
-    for d in _seed7_frames(False, count=1):
-        assert solver._rounding_slack(d) == 0.0
-        assert solver._rounding_slack(d / 3) == 32 * 2.0**-53
+    # exact; a third of them is off the grid, and so are irrational arcs
+    (seam,) = _seed7_frames(False, count=1)
+    assert np.array_equal(solver._on_grid(seam), seam)
+    for d in (seam / 3, _ROUNDING_TIE):
+        grid = solver._on_grid(d)
+        u = _grid_unit(d)
+        finite = np.isfinite(d)
+        assert np.array_equal(np.isfinite(grid), finite)
+        assert not np.array_equal(grid, d)
+        assert np.abs(grid[finite] - d[finite]).max() <= u / 2
+        assert np.array_equal(grid[finite] / u, np.round(grid[finite] / u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    top=st.integers(0, 255 * 2**32),
+    inf_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+@example(n=40, top=255 * 2**32, inf_share=0.0, seed=0)
+def test_grid_keeps_seam_distance_matrices(n, top, inf_share, seed):
+    """Multiples of 2**-32 in [0, 255], as ``build_distance_matrix`` makes
+    them, with +inf entries anywhere, are on the grid of every frame size
+    up to 40 pieces, so the attack's orders, costs and node counts do not
+    move."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = rng.integers(0, top, size=(n, n), endpoint=True) / 2**32
+    d[rng.uniform(size=(n, n)) < inf_share] = np.inf
+    d[0, -1] = top / 2**32
+    assert np.array_equal(solver._on_grid(d), d)
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_constant_real_matrix_takes_one_node_per_piece(n):
+    """0.1 is off every binary grid, so its sums round differently in
+    different orders.  On the search's grid they are exact, and the
+    tie-prune leaves one branch (69,281 nodes at N=8 with a rounding slack
+    in its place)."""
+    report = solve_bnb(_all_ties(n, 0.1))
+    assert report.order == tuple(range(n))
+    assert report.cost == arrangement_cost(_all_ties(n, 0.1), report.order)
+    assert report.nodes_expanded == n
+
+
+def test_solver_refuses_a_matrix_whose_sums_overflow():
+    """Finite entries whose 4n max|d| overflows leave no exact grid; such a
+    matrix used to be solved at cost +inf, with an overflow warning."""
+    with pytest.raises(ValueError, match="^distance matrix entries are too large: their sums overflow$"):
+        solve_bnb(_all_ties(4, 1e308))
+
+
+def _wide_matrices(n, seed, count):
+    """Pool, negated-pool, mixed, tie-heavy integer and +inf-heavy matrices."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    negative = [-x for x in _POOL]
+    for _ in range(count):
+        for values in (_POOL, negative, _POOL + negative, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, math.inf]):
+            d = rng.choice(values, size=(n, n))
+            np.fill_diagonal(d, np.inf)
+            yield d
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_arborescence_search_matches_table_search_on_the_grid(n):
+    """Above 12 pieces the arborescence bound sums up to 2n terms on the
+    grid, reduced arcs included; its orders are those of the exact table
+    search of the same rounded matrix, with the table's cap raised."""
+    for d in _wide_matrices(n, n, 2):
+        found = solve_bnb(d)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_TABLE_MAX_PIECES", 16)
+            tabled = solve_bnb(d)
+        assert (found.order, found.cost) == (tabled.order, tabled.cost)
+        assert found.cost == arrangement_cost(d, found.order)
 
 
 def test_search_is_exact_on_negative_and_mixed_real_valued_ties():
-    """Lowering a negative bound means scaling it by 1 + gamma; scaling it by
-    1 - gamma raises it and prunes optima (85 of 1,500 negative matrices)."""
+    """The grid's headroom counts negative entries by their magnitude, so
+    the search is exact on negative and mixed-sign matrices too."""
     rng = np.random.Generator(np.random.PCG64(5))
     negative = [-x for x in _POOL]
     for pool in (negative, _POOL + negative):
@@ -694,22 +769,30 @@ def test_search_is_exact_on_negative_and_mixed_real_valued_ties():
             n = int(rng.integers(4, 8))
             d = rng.choice(pool, size=(n, n))
             np.fill_diagonal(d, np.inf)
-            exact = solve_bruteforce(d)
+            exact = solve_bruteforce(solver._on_grid(d))
             found = solve_bnb(d)
-            assert (found.order, found.cost) == (exact.order, exact.cost)
+            assert found.order == exact.order
+            assert found.cost == arrangement_cost(d, found.order)
 
 
 def test_bruteforce_sums_left_to_right():
     """From 9 pieces numpy's row sums stop adding left to right; the oracle
     must add seam by seam like the search, or it picks (5, 0, 1, 6, 7, 4,
-    8, 2, 3), whose left-to-right cost is one ulp above the optimum."""
+    8, 2, 3), whose left-to-right cost is one ulp above the optimum.  On the
+    search's grid the two orders tie exactly, and the tie-break picks that
+    one."""
     d = np.random.Generator(np.random.PCG64(0)).choice(_POOL, size=(9, 9))
     np.fill_diagonal(d, np.inf)
     exact = solve_bruteforce(d)
     assert exact.order == (7, 4, 5, 0, 1, 6, 8, 2, 3)
     assert exact.cost == arrangement_cost(d, exact.order)
+    grid = solver._on_grid(d)
+    on_grid = solve_bruteforce(grid)
+    assert on_grid.order == (5, 0, 1, 6, 7, 4, 8, 2, 3)
+    assert on_grid.cost == arrangement_cost(grid, exact.order)
     found = solve_bnb(d)
-    assert (found.order, found.cost) == (exact.order, exact.cost)
+    assert found.order == on_grid.order
+    assert found.cost == arrangement_cost(d, found.order)
 
 
 def test_solver_rejects_degenerate_input():
