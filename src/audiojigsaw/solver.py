@@ -3,33 +3,37 @@
 Reassembling one frame is an open-path traveling-salesman problem on the
 directed seam-distance matrix: find the order of all pieces whose summed
 consecutive distances is smallest.  Frames are small (usually 8 to 16
-pieces), so the problem is solved exactly with depth-first branch and
-bound, whose stack holds at most n(n + 1)/2 nodes (Zhang & Korf,
-*Artificial Intelligence* 79, 1995).  The upper bound comes from
-nearest-neighbor chains.  The lower bound depends on the frame's size alone.
+pieces), so the problem is solved exactly.  How depends on the frame's
+size alone.
 
-Up to ``_TABLE_MAX_PIECES`` = 12 pieces it is exact: a Held-Karp table
+Up to ``_TABLE_MAX_PIECES`` = 12 pieces a Held-Karp table
 (:func:`_completion_table`) holds the cheapest completion of every
 (endpoint, unplaced set) state, n * 2**(n - 1) of them, built by numpy in
-one pass per set size.  A node's bound is then its cost plus one table
-entry, and the search expands about one node per piece.  Solve times in
-ms (total / median / worst frame) on plain ``puzzle`` speech frames from
-synth seeds 7 and 11, each frame solved three times per bound
-alternately, on a shared 2-core host:
+one pass per set size.  The order is read straight off it: the first
+piece is the lowest one whose completion is least, and each next piece
+the lowest one whose arc plus completion keeps that cost.  A branch and
+bound with the table as its bound could only walk down that path, so this
+is its order, cost and node count (n), without its search.  Solve times
+in ms (total / median / worst frame) on plain ``puzzle`` speech frames
+from synth seeds 7 and 11, each frame solved three times per method in
+rotation, on a shared 2-core host:
 
     ==  ======  ==================  ==================
-    n   frames  arborescence        completion table
+    n   frames  arborescence        table readout
     ==  ======  ==================  ==================
-    8   62      43.0 / 0.56 / 2.9   13.9 / 0.18 / 0.38
-    10  50      134 / 1.7 / 35      32.4 / 0.65 / 0.94
-    12  40      284 / 3.1 / 67      79.9 / 2.0 / 2.6
-    13  38      320 / 4.2 / 62      139 / 3.7 / 7.7
-    14  34      495 / 5.5 / 111     265 / 7.8 / 10.8
+    8   62      31.6 / 0.35 / 1.9   6.2 / 0.10 / 0.15
+    10  50      75.0 / 0.98 / 19    12.6 / 0.25 / 0.33
+    12  40      158 / 1.8 / 36      44.3 / 1.1 / 1.3
+    13  38      237 / 3.3 / 49      153 / 3.8 / 5.4
+    14  34      315 / 4.8 / 71      367 / 10.8 / 12.4
     ==  ======  ==================  ==================
 
-The table grows as 2**n, so at 14 pieces it raises the median frame
-(``BENCH_16.json`` holds these runs, ``BENCH_13.json`` the runs that set
-the cap).  Above 12 pieces the bound is the minimum spanning
+The table grows as 2**n, so from 13 pieces it raises the median frame
+(``BENCH_23.json`` holds these runs, ``BENCH_13.json`` the runs that set
+the cap).  Above 12 pieces the order is found by depth-first branch and
+bound, whose stack holds at most n(n + 1)/2 nodes (Zhang & Korf,
+*Artificial Intelligence* 79, 1995).  Its incumbent starts as the best
+nearest-neighbor chain, and its lower bound is the minimum spanning
 arborescence, which relaxes a Hamiltonian path into any spanning out-tree
 and can therefore never overshoot.
 
@@ -40,33 +44,33 @@ contraction.  When those in-arcs form a tree, their sum *is* the
 arborescence weight, term for term and in the same order, so the
 contraction runs only for children whose cheapest in-arcs close a cycle.
 Orders, costs and node counts are those of a search that computes the
-full arborescence bound for every child.  Both bounds give the same
-orders and costs; the table's node counts are lower.
+full arborescence bound for every child.
 
 Cost ties between arrangements are broken toward the lexicographically
-smallest order, in the search and in the exhaustive oracle in the tests,
-so their results are directly comparable.  The search also uses that tie-break to
-prune: a partial order whose bound equals the incumbent's cost, and whose
-prefix sorts after the incumbent's prefix of the same length, can only
-complete into arrangements that cost at least as much and sort later, so
-none of them can win.  Silent frames, whose matrices are all ties, then
-take one branch instead of every one.
+smallest order, in the table readout, in the search and in the
+exhaustive oracle in the tests, so their results are directly
+comparable.  The search also uses that tie-break to prune: a partial
+order whose bound equals the incumbent's cost, and whose prefix sorts
+after the incumbent's prefix of the same length, can only complete into
+arrangements that cost at least as much and sort later, so none of them
+can win.  Silent frames, whose matrices are all ties, then take one
+branch instead of every one.
 
-A path's cost is summed left to right and a bound in another order, so in
-floating point a bound could overshoot a path it bounds, or split a tie.
-The search therefore runs on the matrix rounded onto a grid where every
-sum it forms is exact (:func:`_on_grid`); seam-distance matrices are on it
-already.  The order returned is the rounded matrix's optimum, and its cost
-is summed on the caller's matrix.
+A path's cost is summed left to right and a bound or a table entry in
+another order, so in floating point a bound could overshoot a path it
+bounds, or split a tie.  Both ways therefore run on the matrix rounded
+onto a grid where every sum they form is exact (:func:`_on_grid`);
+seam-distance matrices are on it already.  The order returned is the
+rounded matrix's optimum, and its cost is summed on the caller's matrix.
 
-The search and its bounds run on plain Python floats: the matrix is
-converted once per solve with ``tolist()``, and a child reads its one
-completion-table entry in place with ``ndarray.item``.  At 16 pieces or
-fewer every step touches a handful of numbers, so numpy's per-call
-overhead would cost more than the arithmetic.  Both are exact, and the
-arborescence bound keeps the tie rules and operand order of a numpy
-contraction (the reference in the tests), so orders, costs, node counts
-and bound values are bit-identical to a search that runs on numpy.
+The readout, the search and its bounds run on plain Python floats: the
+matrix is converted once per solve with ``tolist()``, and table entries
+are read in place with ``ndarray.item``.  At 16 pieces or fewer every
+step touches a handful of numbers, so numpy's per-call overhead would
+cost more than the arithmetic.  Both are exact, and the arborescence
+bound keeps the tie rules and operand order of a numpy contraction (the
+reference in the tests), so orders, costs, node counts and bound values
+are bit-identical to a search that runs on numpy.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ import numpy as np
 from .puzzle import arrangement_cost
 
 
-# Frames of at most this many pieces are bounded by the exact completion table.
+# Frames of at most this many pieces are read off the exact completion table.
 _TABLE_MAX_PIECES = 12
 
 
@@ -110,33 +114,26 @@ def _validated(d) -> np.ndarray:
 def _greedy_chain(rows: list[list[float]]) -> tuple[tuple[int, ...], float]:
     """Best nearest-neighbor chain over all starting pieces, as (order, cost).
 
-    Not optimal, but never worse than the chain from any single start;
-    used to seed the branch-and-bound incumbent.  Each step takes the
-    cheapest arc to an unplaced piece, ties to the lower index; every row's
-    targets are ranked that way once, so a step walks its row's ranking
-    past the placed pieces only.
+    Not optimal, but never worse than the chain from any single start; it
+    seeds the incumbent of the searches above ``_TABLE_MAX_PIECES`` pieces.
+    Each step takes the cheapest arc to an unplaced piece, ties to the lower
+    index.
     """
     n = len(rows)
-    ranked = [[j for _, j in sorted(zip(row, range(n)))] for row in rows]
-    best_order = None
-    best_cost = math.inf
+    chains = []
     for start in range(n):
-        order = [start]
-        cost = 0.0
-        placed = 1 << start
-        for _ in range(n - 1):
-            here = order[-1]
-            for nxt in ranked[here]:
-                if not placed >> nxt & 1:
-                    break
-            cost += rows[here][nxt]
+        order, cost = [start], 0.0
+        unplaced = [j for j in range(n) if j != start]
+        while unplaced:
+            here = rows[order[-1]]
+            nxt = min(unplaced, key=here.__getitem__)
+            cost += here[nxt]
             order.append(nxt)
-            placed |= 1 << nxt
-        order = tuple(order)
-        if best_order is None or cost < best_cost or (cost == best_cost and order < best_order):
-            best_cost = cost
-            best_order = order
-    return best_order, best_cost
+            unplaced.remove(nxt)
+        chains.append((cost, tuple(order)))
+    # The cheapest chain, ties to the lexicographically smaller order.
+    cost, order = min(chains)
+    return order, cost
 
 
 def min_arborescence_weight(d, nodes: Iterable[int], root: int) -> float:
@@ -164,8 +161,6 @@ def min_arborescence_weight(d, nodes: Iterable[int], root: int) -> float:
     nodes = list(nodes)
     if root not in nodes:
         raise ValueError("root must be among the nodes")
-    if len(nodes) == 1:
-        return 0.0
     rows = [d[u] for u in nodes]
     # cols[v][u] is the weight of arc u -> v; no node may be its own parent.
     cols = [[row[v] for row in rows] for v in nodes]
@@ -364,16 +359,28 @@ def _arborescence_bound(
 def solve_bnb(
     d, on_expand: Callable[[tuple[int, ...], float, float], None] | None = None
 ) -> SolveReport:
-    """Exact depth-first branch and bound over piece orders.
+    """Exact minimum-cost order of the pieces, and the nodes its search expands.
 
-    Nodes are partial orders; a node's bound is its accumulated cost plus
-    a lower bound on completing it from its endpoint through the unplaced
-    pieces.  Frames of up to ``_TABLE_MAX_PIECES`` = 12 pieces take the
-    exact completion from :func:`_completion_table`; larger ones the
-    minimum spanning arborescence over the endpoint and the unplaced
-    pieces, rooted at the endpoint (the module docstring holds the solve
-    times behind that cap).  The search starts from a virtual root whose
-    children are the starting pieces, and the incumbent starts as the best
+    Everything runs on ``d`` rounded by :func:`_on_grid`, where every sum
+    is exact; the cost returned is the order's left-to-right sum on ``d``
+    itself (:func:`~audiojigsaw.puzzle.arrangement_cost`).  Nodes are
+    partial orders; a node's bound is its accumulated cost plus a lower
+    bound on completing it from its endpoint through the unplaced pieces.
+
+    Up to ``_TABLE_MAX_PIECES`` = 12 pieces that bound is exact: the
+    table entry of :func:`_completion_table`.  A search on it would pop,
+    from the virtual root and then from each node, the lowest child whose
+    bound is the optimum, and prune every other node against the order
+    that path completes.  So the order is read off the table instead, one
+    piece at a time, and the node count is that search's n (the order's
+    n - 1 prefixes and the root).  When the optimum is +inf, every bound
+    is +inf and the identity, the first of the tied orders, is read.
+
+    Larger frames are searched depth-first, bounded by the minimum
+    spanning arborescence over the endpoint and the unplaced pieces,
+    rooted at the endpoint (the module docstring holds the solve times
+    behind the cap).  The search starts from a virtual root whose children
+    are the starting pieces, and the incumbent starts as the best
     nearest-neighbor chain (:func:`_greedy_chain`).  An expanded node's
     surviving children go on a stack so that the smallest bound pops first
     (ties: the lower piece).  A node at depth k leaves at most n - k
@@ -385,51 +392,54 @@ def solve_bnb(
     a node costs at least the incumbent and is lexicographically larger:
     it can neither beat the incumbent nor win the tie-break against it.
     The incumbent only ever improves, so a node pruned against an earlier
-    incumbent stays pruned against the final one.  The search runs on ``d``
-    rounded by :func:`_on_grid`, where every sum is exact, so rounding
-    cannot make a bound overshoot either; the cost returned is the order's
-    left-to-right sum on ``d`` itself (:func:`~audiojigsaw.puzzle.arrangement_cost`).
-
-    A node is tested again when it pops, since the incumbent may have
-    improved after it was pushed.  The arborescence bound runs the
-    contraction only where a cheaper test cannot decide
-    (:func:`_arborescence_bound`).
+    incumbent stays pruned against the final one.  A node is tested again
+    when it pops, since the incumbent may have improved after it was
+    pushed.  The arborescence bound runs the contraction only where a
+    cheaper test cannot decide (:func:`_arborescence_bound`).
 
     ``on_expand`` (mainly for tests) sees (prefix, cost_so_far, bound) for
-    every expanded internal node.
+    every expanded internal node; up to 12 pieces, for the order's
+    prefixes, each with the optimum as its bound.
     """
     d = _validated(d)
     grid = _on_grid(d)
     n = d.shape[0]
     rows = grid.tolist()
+    if n <= _TABLE_MAX_PIECES:
+        table = _completion_table(grid)
+        mask = (1 << n) - 1
+        least = min(table.item(mask ^ 1 << j, j) for j in range(n))
+        prefix, cost, here = (), 0.0, [0.0] * n
+        while mask:
+            # The child the search pops first: the lowest whose bound is the optimum.
+            for j in range(n):
+                if mask >> j & 1 and cost + here[j] + table.item(mask ^ 1 << j, j) == least:
+                    break
+            prefix += (j,)
+            cost += here[j]
+            mask ^= 1 << j
+            here = rows[j]
+            if on_expand is not None and mask:
+                on_expand(prefix, cost, least)
+        return SolveReport(prefix, arrangement_cost(d, prefix), n)
     inc_order, inc_cost = _greedy_chain(rows)
 
     def dominated(bound: float, prefix: tuple[int, ...]) -> bool:
         return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
 
-    if n <= _TABLE_MAX_PIECES:
-        table = _completion_table(grid)
-
-        def open_bound(cost: float, prefix: tuple[int, ...], unplaced_mask: int) -> float | None:
-            """The node's bound, or None when it is pruned."""
-            bound = cost + table.item(unplaced_mask, prefix[-1])
-            return None if dominated(bound, prefix) else bound
-
-    else:
-        open_bound = _arborescence_bound(rows, dominated)
+    open_bound = _arborescence_bound(rows, dominated)
 
     # Stack entries: (bound, prefix, cost_so_far, unplaced_mask).  The virtual
     # root, whose bound prunes nothing, has the starting pieces as children,
     # each reached at no cost.
     stack: list[tuple[float, tuple[int, ...], float, int]] = [(-math.inf, (), 0.0, (1 << n) - 1)]
-    root_row = [0.0] * n
     expanded = 0
     while stack:
         bound, prefix, cost, mask = stack.pop()
         if dominated(bound, prefix):
             continue  # the incumbent improved since this node was pushed
         expanded += 1
-        here = rows[prefix[-1]] if prefix else root_row
+        here = rows[prefix[-1]] if prefix else [0.0] * n
         if on_expand is not None and prefix:
             on_expand(prefix, cost, bound)
         children = []

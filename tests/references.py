@@ -5,7 +5,8 @@ plainly as possible: the RLS recursion and its closed-form end point from
 the normal equations, the STFT of one signal, the
 analysis-window coverage of a sample, the quantization of a frame piece by
 piece, the seam distance of one pair of pieces, the exhaustive frame
-solve, the best-first search the depth-first one replaced, the search's
+solve, the best-first search the depth-first one replaced, the
+table-bounded search that reading orders off the table replaced, the
 completion table by enumeration and in the flat layout the package's
 array replaced, and the accuracy score as a sum over every shared block.
 """
@@ -216,8 +217,9 @@ def solve_bnb_best_first(d, frontier_cap: int = 1_000_000) -> SolveReport:
     """The best-first branch and bound that :func:`~audiojigsaw.solver.solve_bnb` replaced.
 
     Same grid, incumbent, tie-prune and bounds as the package's search
-    (the completion table up to ``_TABLE_MAX_PIECES`` pieces, the
-    arborescence above), but the frontier is a heap that pops the smallest
+    (the arborescence above ``_TABLE_MAX_PIECES`` pieces) and as
+    :func:`solve_bnb_table_search` (the completion table up to that), but
+    the frontier is a heap that pops the smallest
     bound first (ties: deeper node, then lexicographically smaller prefix),
     and past ``frontier_cap`` entries it continues depth-first.  The heap
     can grow exponentially with the pieces: on one 16-piece speech frame
@@ -290,6 +292,54 @@ def solve_bnb_best_first(d, frontier_cap: int = 1_000_000) -> SolveReport:
                 heapq.heappush(frontier, entry)
             else:
                 frontier.append(entry)
+    return SolveReport(inc_order, arrangement_cost(d, inc_order), expanded)
+
+
+def solve_bnb_table_search(d, on_expand=None) -> SolveReport:
+    """The depth-first search that :func:`~audiojigsaw.solver.solve_bnb` ran up to ``_TABLE_MAX_PIECES`` pieces.
+
+    The package now reads those frames' orders off the completion table.
+    This is the search it replaced: on the grid, from the greedy incumbent,
+    with the tie-prune and the stack of the package's search above 12
+    pieces, a node's bound being its cost plus its completion-table entry.
+    ``on_expand`` sees (prefix, cost_so_far, bound) for every expanded
+    internal node.
+    """
+    d = _validated(d)
+    grid = solver._on_grid(d)
+    n = d.shape[0]
+    rows = grid.tolist()
+    table = solver._completion_table(grid)
+    inc_order, inc_cost = solver._greedy_chain(rows)
+
+    def dominated(bound, prefix):
+        return bound > inc_cost or (bound == inc_cost and prefix > inc_order[: len(prefix)])
+
+    stack = [(-math.inf, (), 0.0, (1 << n) - 1)]
+    expanded = 0
+    while stack:
+        bound, prefix, cost, mask = stack.pop()
+        if dominated(bound, prefix):
+            continue
+        expanded += 1
+        here = rows[prefix[-1]] if prefix else [0.0] * n
+        if on_expand is not None and prefix:
+            on_expand(prefix, cost, bound)
+        children = []
+        for j in range(n):
+            if not mask >> j & 1:
+                continue
+            child_cost = cost + here[j]
+            child_prefix = prefix + (j,)
+            if len(child_prefix) == n:
+                if child_cost < inc_cost or (child_cost == inc_cost and child_prefix < inc_order):
+                    inc_cost, inc_order = child_cost, child_prefix
+                continue
+            child_mask = mask & ~(1 << j)
+            child_bound = child_cost + table.item(child_mask, j)
+            if not dominated(child_bound, child_prefix):
+                children.append((child_bound, child_prefix, child_cost, child_mask))
+        stack.extend(sorted(children, reverse=True))
     return SolveReport(inc_order, arrangement_cost(d, inc_order), expanded)
 
 

@@ -361,6 +361,27 @@ def test_every_config_field_is_set_from_flags(tmp_path, monkeypatch):
     assert corpus == SweepSpec(corpus=(str(wav),), vad=True, **framing_spec)
 
 
+def test_cli_defaults_are_the_library_defaults(tmp_path, plain_wav, monkeypatch):
+    """The CLI restates the configs' defaults as its flags' defaults: frame
+    size, segment length, the STFT, RLS and seam settings, and sweep's
+    trials, seed and SNR grid.  Given only their required flags, attack and
+    sweep build ``AttackConfig()`` and ``SweepSpec()``, leaf by leaf."""
+    attack_cfgs, specs = [], []
+    original_attack = cli.attack
+
+    def attack_spy(cipher, cfg, truth=None):
+        attack_cfgs.append(cfg)
+        return original_attack(cipher, cfg, truth)
+
+    monkeypatch.setattr(cli, "attack", attack_spy)
+    monkeypatch.setattr(cli, "sweep", lambda spec, csv_path: specs.append(spec))
+    assert main(["attack", "--input", str(plain_wav), "--output", str(tmp_path / "est.wav")]) == 0
+    assert main(["sweep", "--csv", str(tmp_path / "sweep.csv")]) == 0
+    (attack_cfg,), (spec,) = attack_cfgs, specs
+    assert list(_leaves(attack_cfg)) == list(_leaves(AttackConfig()))
+    assert list(_leaves(spec)) == list(_leaves(SweepSpec()))
+
+
 def test_sweep_refuses_a_duration_for_a_corpus_file(tmp_path, plain_wav, capsys):
     """A corpus file sets its own length; a --duration next to --input used
     to be dropped without a word."""

@@ -15,6 +15,7 @@ from references import (
     completion_table_by_enumeration,
     completion_table_flat,
     solve_bnb_best_first,
+    solve_bnb_table_search,
     solve_bruteforce,
 )
 
@@ -403,9 +404,22 @@ def _assert_same_search(d):
     assert (tabled.order, tabled.cost) == (best_first.order, best_first.cost)
     if n <= solver._TABLE_MAX_PIECES:
         assert tabled.nodes_expanded == best_first.nodes_expanded
+        _assert_readout_is_the_search(d)
     if n <= 8:
         exact = solve_bruteforce(d)
         assert (tabled.order, tabled.cost) == (exact.order, exact.cost)
+
+
+def _assert_readout_is_the_search(d):
+    """Up to 12 pieces the order read off the table is the table-bounded
+    search's: the same order, cost and node count (n), and ``on_expand``
+    sees the same nodes in the same order, bit for bit."""
+    seen, searched = [], []
+    got = solve_bnb(d, on_expand=lambda *node: seen.append(node))
+    want = solve_bnb_table_search(d, on_expand=lambda *node: searched.append(node))
+    assert got == want
+    assert got.nodes_expanded == d.shape[0]
+    assert seen == searched
 
 
 @pytest.mark.parametrize("extend", [False, True])
@@ -671,6 +685,60 @@ def test_search_is_exact_on_real_valued_ties(d):
     _assert_exact(d)
 
 
+# Every order costs +inf, but from piece 1 the rest has a finite cheapest
+# completion, 1-3-2: a walk that follows the table there returns (0, 1, 3, 2),
+# while every solver returns the identity, the first of the tied orders.
+_INFINITE_BUT_FINITE_FROM_ONE = np.array(
+    [[np.inf] * 4, [np.inf, np.inf, 5.0, 1.0], [np.inf, 1.0, np.inf, 5.0], [np.inf, 5.0, 1.0, np.inf]]
+)
+
+
+@st.composite
+def _readout_matrices(draw):
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["uniform", "small integers", "negated", "pool", "+inf-heavy", "all +inf"]))
+    if kind == "uniform":
+        value = st.floats(0.0, 1.0)
+    elif kind == "small integers":
+        value = st.integers(0, draw(st.integers(0, 3))).map(float)
+    elif kind == "negated":
+        value = st.one_of(st.floats(-1.0, 0.0), st.sampled_from([-x for x in _POOL]))
+    elif kind == "pool":
+        value = st.sampled_from(_POOL)
+    elif kind == "+inf-heavy":
+        value = st.one_of(st.just(math.inf), st.integers(0, 3).map(float))
+    else:
+        value = st.just(math.inf)
+    d = np.array(draw(st.lists(value, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=_readout_matrices())
+@example(d=_INFINITE_BUT_FINITE_FROM_ONE)
+@example(d=_GREEDY_LOSES_TIE)
+@example(d=_ROUNDING_TIE)
+def test_table_readout_is_the_search_it_replaced(d):
+    _assert_readout_is_the_search(d)
+
+
+def test_table_readout_runs_no_greedy_and_no_search(monkeypatch):
+    """Up to 12 pieces nothing seeds an incumbent and no bound but the table
+    is built; the identity wins the all-+inf matrix."""
+
+    def refuse(*args):
+        raise AssertionError("called at 12 pieces or fewer")
+
+    monkeypatch.setattr(solver, "_greedy_chain", refuse)
+    monkeypatch.setattr(solver, "_arborescence_bound", refuse)
+    rng = np.random.Generator(np.random.PCG64(23))
+    for n in range(2, 13):
+        assert solve_bnb(_random_matrix(rng, n)).nodes_expanded == n
+        infinite = solve_bnb(_all_ties(n, math.inf))
+        assert (infinite.order, infinite.cost, infinite.nodes_expanded) == (tuple(range(n)), math.inf, n)
+
+
 def _grid_unit(d):
     """The grid's unit u = 2**(p - 53), for the least p with 2**p > 4n max|d|."""
     top = 4 * d.shape[0] * np.abs(d[np.isfinite(d)]).max()
@@ -715,12 +783,13 @@ def test_grid_keeps_seam_distance_matrices(n, top, inf_share, seed):
     assert np.array_equal(solver._on_grid(d), d)
 
 
-@pytest.mark.parametrize("n", range(8, 13))
+@pytest.mark.parametrize("n", [*range(8, 13), 13, 16])
 def test_constant_real_matrix_takes_one_node_per_piece(n):
     """0.1 is off every binary grid, so its sums round differently in
-    different orders.  On the search's grid they are exact, and the
-    tie-prune leaves one branch (69,281 nodes at N=8 with a rounding slack
-    in its place)."""
+    different orders.  On the search's grid they are exact: up to 12 pieces
+    the table's optimum is the identity's cost, and above it the tie-prune
+    leaves one branch (69,281 nodes at N=8 with a rounding slack in its
+    place)."""
     report = solve_bnb(_all_ties(n, 0.1))
     assert report.order == tuple(range(n))
     assert report.cost == arrangement_cost(_all_ties(n, 0.1), report.order)
