@@ -56,16 +56,25 @@ def _is_frozen_owner_chain(samples) -> bool:
     return False
 
 
-def _whole_sample_rate(rate) -> int:
-    """The package's one sample-rate rule: a positive whole number (``8000``
-    or ``8000.0``), returned as an ``int``; anything else raises ValueError."""
+def _whole(value, least: int, name: str) -> int:
+    """The package's one count rule: a whole number (``8``, ``8.0`` or a numpy
+    integer) of at least ``least``, returned as an ``int``.  Anything else
+    (a fraction, NaN, an infinity, a string, a number below ``least``)
+    raises ValueError naming the setting ``name`` and its bound."""
     try:
-        whole = int(rate)
+        if int(value) == value >= least:
+            return int(value)
     except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != rate or whole <= 0:
-        raise ValueError(f"sample_rate must be a positive whole number, got {rate!r}")
-    return whole
+        pass
+    bound = {0: "a non-negative whole number", 1: "a positive whole number"}.get(least)
+    raise ValueError(f"{name} must be {bound or f'a whole number of at least {least}'}, got {value!r}")
+
+
+def _positive(value, name: str) -> None:
+    """The package's one rule for amounts of time (seconds, milliseconds,
+    minutes): finite and positive, else ValueError naming ``name``."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _snr_power_ratio(snr_db: float) -> float:
@@ -105,7 +114,7 @@ class AudioBuffer:
     ``buf.samples.flags.writeable = True`` can change any buffer.
 
     The sample rate must be a positive whole number (``8000`` or
-    ``8000.0``), stored as an ``int``: the rule of :func:`_whole_sample_rate`.
+    ``8000.0``), stored as an ``int``: the count rule of :func:`_whole`.
     """
 
     samples: np.ndarray
@@ -121,7 +130,7 @@ class AudioBuffer:
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", _whole_sample_rate(self.sample_rate))
+        object.__setattr__(self, "sample_rate", _whole(self.sample_rate, 1, "sample_rate"))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -258,15 +267,14 @@ def synthesize_speechlike(duration_s: float, seed: int, sample_rate: int = 8000)
     All randomness comes from one PCG64 generator, so the output is a
     pure function of (duration_s, seed, sample_rate).
 
-    ``duration_s`` must be finite and last at least one sample, and
-    ``sample_rate`` must pass :func:`_whole_sample_rate` and exceed 135 Hz,
-    where a 270 Hz pitch period would round to 0 samples; all are checked,
-    and the output allocated, before any sample is drawn, so a duration
-    too long for memory is refused at once.
+    ``duration_s`` must be finite and positive and last at least one
+    sample, and ``sample_rate`` must be a whole number above 135 Hz, where
+    a 270 Hz pitch period would round to 0 samples; all are checked, and
+    the output allocated, before any sample is drawn, so a duration too
+    long for memory is refused at once.
     """
-    if not 0 < duration_s < math.inf:
-        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
-    sample_rate = _whole_sample_rate(sample_rate)
+    _positive(duration_s, "duration_s")
+    sample_rate = _whole(sample_rate, 1, "sample_rate")
     if round(sample_rate / _F0_RANGE_HZ[1]) < 1:
         raise ValueError(f"sample_rate {sample_rate} Hz is too low for a {_F0_RANGE_HZ[1]:g} Hz pitch period")
     n = int(round(duration_s * sample_rate))

@@ -46,6 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .audio_io import _whole
+
 logger = logging.getLogger(__name__)
 
 # Forecast samples far outside the plausible signal range indicate the
@@ -65,8 +67,9 @@ _REFINEMENTS = 2
 class RlsConfig:
     """Exponentially-weighted RLS settings.
 
-    ``order`` is the number of filter taps minus one: the regressor holds
-    the ``order + 1`` most recent past samples.  ``forgetting`` is the
+    ``order`` is the number of filter taps minus one, a positive whole
+    number stored as an ``int``: the regressor holds the ``order + 1``
+    most recent past samples.  ``forgetting`` is the
     exponential weight on old errors.  The initial covariance is fixed at
     P(0) = I / 0.01 (``_INIT_REG``).
     """
@@ -75,8 +78,7 @@ class RlsConfig:
     forgetting: float = 0.97
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
+        object.__setattr__(self, "order", _whole(self.order, 1, "order"))
         if not 0.0 < self.forgetting <= 1.0:
             raise ValueError("forgetting must lie in (0, 1]")
 
@@ -224,10 +226,9 @@ def extend_segment(segments, length: int, cfg: RlsConfig = RlsConfig()) -> np.nd
     forecast loop then advances them all.  Forecast magnitudes are clamped
     to +/-4, so a runaway predictor cannot corrupt the spectrogram scale;
     each clamped side logs one warning, segment by segment in row order,
-    future side first.
+    future side first.  ``length`` is a non-negative whole number.
     """
-    if length < 0:
-        raise ValueError("length must be non-negative")
+    length = _whole(length, 0, "length")
     x = np.asarray(segments, dtype=np.float64)
     if x.ndim not in (1, 2, 3) or x.size == 0:
         raise ValueError(

@@ -10,6 +10,8 @@ def _check_pair(found: Sequence[int], correct: Sequence[int]) -> int:
     n = len(found)
     if len(correct) != n:
         raise ValueError("found and correct orders differ in length")
+    if not n:
+        raise ValueError("orders must hold at least one piece")
     if sorted(found) != list(range(n)) or sorted(correct) != list(range(n)):
         raise ValueError("orders must be permutations of 0..n-1")
     return n

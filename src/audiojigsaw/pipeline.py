@@ -19,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio_io import AudioBuffer, _snr_power_ratio, add_awgn, read_wav, synthesize_speechlike, vad_trim
+from .audio_io import (
+    AudioBuffer, _positive, _snr_power_ratio, _whole, add_awgn, read_wav, synthesize_speechlike, vad_trim
+)
 from .estimator import RlsConfig, extend_segment
 from .evaluation import accuracy
 from .puzzle import DistanceConfig, build_distance_matrix
@@ -199,6 +201,13 @@ class SweepSpec:
     attacked twice, with and without predictive extension.  All seeds
     derive from ``seed``, so two runs of the same spec produce the same
     science (the solve_ms timing column is wall clock and will differ).
+
+    The grid is checked before any trial runs.  Frame sizes are whole
+    numbers of at least 2, ``trials`` a positive and ``seed`` a
+    non-negative whole number, all stored as ``int``; segment durations
+    and ``duration_s`` are finite and positive, and every SNR passes
+    :func:`add_awgn`'s rule.  Only the segment length in samples waits
+    for each trial, since a corpus file sets its own sample rate.
     """
 
     frame_sizes: tuple[int, ...] = (8,)
@@ -217,22 +226,23 @@ class SweepSpec:
     def __post_init__(self):
         if not self.frame_sizes or not self.segment_ms_values:
             raise ValueError("grid must list at least one frame size and segment duration")
+        object.__setattr__(self, "frame_sizes", tuple(_whole(n, 2, "frame_size") for n in self.frame_sizes))
+        for segment_ms in self.segment_ms_values:
+            _positive(segment_ms, "segment_ms")
         if self.noise_at not in ("source", "channel", "none"):
             raise ValueError("noise_at must be 'source', 'channel' or 'none'")
         if self.noise_at != "none" and not self.snr_dbs:
             raise ValueError("noisy sweep needs at least one SNR value")
         for snr in self.snr_grid:
             _snr_power_ratio(snr)
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        object.__setattr__(self, "trials", _whole(self.trials, 1, "trials"))
+        object.__setattr__(self, "seed", _whole(self.seed, 0, "seed"))
         if self.corpus is not None and not self.corpus:
             raise ValueError("corpus mode selected but no paths given")
-        if self.corpus is not None and self.duration_s is not None:
-            raise ValueError(
-                "a corpus sweep attacks whole files; duration_s is for synthetic audio"
-            )
+        if self.duration_s is not None:
+            if self.corpus is not None:
+                raise ValueError("a corpus sweep attacks whole files; duration_s is for synthetic audio")
+            _positive(self.duration_s, "duration_s")
 
     @property
     def snr_grid(self) -> tuple[float, ...]:

@@ -16,17 +16,20 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .audio_io import _whole
+
 
 @dataclass(frozen=True)
 class DistanceConfig:
+    """Seam search reach: the inward column offset alpha and the vertical
+    slide beta, each a non-negative whole number stored as an ``int``."""
+
     max_penetration: int = 3
     max_slide: int = 7
 
     def __post_init__(self):
-        if self.max_penetration < 0:
-            raise ValueError("max_penetration must be non-negative")
-        if self.max_slide < 0:
-            raise ValueError("max_slide must be non-negative")
+        for name in ("max_penetration", "max_slide"):
+            object.__setattr__(self, name, _whole(getattr(self, name), 0, name))
 
 
 def build_distance_matrix(pieces: np.ndarray, cfg: DistanceConfig = DistanceConfig()) -> np.ndarray:

@@ -13,16 +13,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio_io import AudioBuffer, _whole_sample_rate
+from .audio_io import AudioBuffer, _positive, _whole
 
 
 @dataclass(frozen=True)
 class ScramblerConfig:
     """Framing geometry: segments per frame, segment duration, sample rate.
 
-    A frame holds at least 2 segments, so every frame has an order to hide.
-    The sample rate follows :class:`AudioBuffer`'s rule, and audio at
-    another rate is refused wherever it is cut into frames.
+    ``frame_size`` is a whole number of at least 2 segments, so every
+    frame has an order to hide, and ``segment_ms`` is finite and positive.
+    The sample rate is a positive whole number, as in :class:`AudioBuffer`,
+    and audio at another rate is refused wherever it is cut into frames.
+    Both counts are stored as ``int``.
     """
 
     frame_size: int = 8
@@ -30,11 +32,9 @@ class ScramblerConfig:
     sample_rate: int = 8000
 
     def __post_init__(self):
-        if self.frame_size < 2:
-            raise ValueError("frame_size must be at least 2")
-        if not 0 < self.segment_ms < math.inf:
-            raise ValueError("segment_ms must be finite and positive")
-        object.__setattr__(self, "sample_rate", _whole_sample_rate(self.sample_rate))
+        object.__setattr__(self, "frame_size", _whole(self.frame_size, 2, "frame_size"))
+        _positive(self.segment_ms, "segment_ms")
+        object.__setattr__(self, "sample_rate", _whole(self.sample_rate, 1, "sample_rate"))
         if self.segment_samples < 1:
             raise ValueError("segment shorter than one sample")
 
@@ -48,7 +48,7 @@ class ScramblerConfig:
 
     def frame_count(self, n_samples: int) -> int:
         """Full frames in a signal of ``n_samples`` samples; a signal without one is refused."""
-        n_frames = n_samples // self.frame_samples
+        n_frames = _whole(n_samples, 0, "n_samples") // self.frame_samples
         if n_frames == 0:
             raise ValueError(
                 f"signal of {n_samples} samples is shorter than one {self.frame_samples}-sample frame"
@@ -83,12 +83,11 @@ def make_key_schedule(seed: int, n_frames: int, frame_size: int) -> KeySchedule:
 
     numpy's Generator.permutation performs a Fisher-Yates shuffle, so every
     permutation of 0..frame_size-1 is equally likely and the whole schedule
-    is a pure function of the seed.
+    is a pure function of the seed.  ``n_frames`` must be a positive whole
+    number and ``frame_size`` a whole number of at least 2.
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be at least 1")
-    if frame_size < 2:
-        raise ValueError("frame_size must be at least 2 to permute")
+    n_frames = _whole(n_frames, 1, "n_frames")
+    frame_size = _whole(frame_size, 2, "frame_size")
     rng = np.random.Generator(np.random.PCG64(seed))
     keys = tuple(tuple(int(v) for v in rng.permutation(frame_size)) for _ in range(n_frames))
     return KeySchedule(keys)
@@ -165,12 +164,13 @@ def keyspace_bits(minutes: float, segment_ms: float, frame_size: int) -> int:
     over five minutes, where whole key sequences span frames * log2(N!),
     about 14,343 bits, that no frame-by-frame attack searches.  A conversation
     shorter than one frame is refused, as :meth:`ScramblerConfig.frame_count`
-    refuses a signal without a full frame.
+    refuses a signal without a full frame.  ``minutes`` and ``segment_ms``
+    must be finite and positive, and ``frame_size`` a whole number of at
+    least 2.
     """
-    if not (0 < minutes < math.inf and 0 < segment_ms < math.inf):
-        raise ValueError("minutes and segment_ms must be finite and positive")
-    if frame_size < 2:
-        raise ValueError("frame_size must be at least 2")
+    _positive(minutes, "minutes")
+    _positive(segment_ms, "segment_ms")
+    frame_size = _whole(frame_size, 2, "frame_size")
     n_frames = minutes * 60.0 / (segment_ms / 1000.0 * frame_size)
     if not 0 < n_frames < math.inf:
         raise ValueError(f"{minutes:g} minutes of {segment_ms:g} ms segments hold no countable frames")

@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .audio_io import _whole
+
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -19,6 +21,9 @@ class StftConfig:
 
     ``window_size`` samples per Hamming window, consecutive windows share
     ``overlap`` samples, and each window is zero-padded to ``fft_size``.
+    Each is a whole number, stored as an ``int``: ``window_size`` at least
+    2, ``overlap`` at least 0 and below ``window_size``, and ``fft_size`` a
+    power of two no shorter than the window.
     """
 
     window_size: int = 60
@@ -26,14 +31,12 @@ class StftConfig:
     fft_size: int = 256
 
     def __post_init__(self):
-        if self.window_size < 2:
-            raise ValueError("window_size must be at least 2")
-        if not 0 <= self.overlap < self.window_size:
-            raise ValueError("overlap must satisfy 0 <= overlap < window_size")
-        if self.fft_size < self.window_size:
-            raise ValueError("fft_size must be at least window_size")
-        if self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two")
+        for name, least in (("window_size", 2), ("overlap", 0), ("fft_size", 1)):
+            object.__setattr__(self, name, _whole(getattr(self, name), least, name))
+        if self.overlap >= self.window_size:
+            raise ValueError("overlap must be less than window_size")
+        if self.fft_size < self.window_size or self.fft_size & (self.fft_size - 1):
+            raise ValueError("fft_size must be a power of two no shorter than window_size")
 
     @property
     def hop(self) -> int:
@@ -41,9 +44,8 @@ class StftConfig:
 
 
 def hamming_window(size: int) -> np.ndarray:
-    """Symmetric Hamming taper: 0.54 - 0.46*cos(2*pi*n/(size-1))."""
-    if size < 2:
-        raise ValueError("window needs at least 2 points")
+    """Symmetric Hamming taper: 0.54 - 0.46*cos(2*pi*n/(size-1)), for a whole ``size`` of at least 2."""
+    size = _whole(size, 2, "size")
     n = np.arange(size)
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (size - 1))
 

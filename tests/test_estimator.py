@@ -311,7 +311,7 @@ def test_extend_frame_zero_length_and_validation():
     assert got.tobytes() == frame.tobytes() and got is not frame
     # a zero-length extension never trains a predictor, so short segments pass
     assert extend_segment(np.ones((3, 5)), 0).shape == (3, 5)
-    with pytest.raises(ValueError, match="^length must be non-negative$"):
+    with pytest.raises(ValueError, match="^length must be a non-negative whole number, got -1$"):
         extend_segment(frame, -1)
     with pytest.raises(ValueError, match="^segments must be longer than 53 samples$"):
         extend_segment(np.ones((2, 53)), 5)

@@ -83,6 +83,9 @@ def test_accuracy_validation():
         accuracy((0, 1), (0, 1, 2))
     with pytest.raises(ValueError):
         accuracy((0, 0, 1), (0, 1, 2))
+    # an empty order has no blocks to score: the denominator C(2, 3) is 0
+    with pytest.raises(ValueError, match="^orders must hold at least one piece$"):
+        accuracy((), ())
     with pytest.raises(ValueError):
         sub_block_matches((0, 1), (1, 0), 3)
     with pytest.raises(ValueError):

@@ -326,6 +326,16 @@ def test_sweep_spec_validation():
         with pytest.raises(ValueError, match=r"^snr_db must be finite or \+inf$"):
             SweepSpec(snr_dbs=(20.0, snr), noise_at="source")
         assert SweepSpec(snr_dbs=(snr,), noise_at="none").snr_grid == (math.inf,)
+    # so are a frame size or duration that no trial could run
+    with pytest.raises(ValueError, match=r"^duration_s must be finite and positive, got -1\.0$"):
+        SweepSpec(duration_s=-1.0)
+    with pytest.raises(ValueError, match="^frame_size must be a whole number of at least 2, got 1$"):
+        SweepSpec(frame_sizes=(1,))
+    with pytest.raises(ValueError, match="^segment_ms must be finite and positive, got nan$"):
+        SweepSpec(segment_ms_values=(40.0, math.nan))
+    spec = SweepSpec(frame_sizes=(np.int64(4), 8.0), trials=2.0, seed=np.uint8(3))
+    assert spec.frame_sizes == (4, 8) and spec.trials == 2 and spec.seed == 3
+    assert all(type(v) is int for v in (*spec.frame_sizes, spec.trials, spec.seed))
 
 
 def test_sweep_row_count_contract(tmp_path):

@@ -28,7 +28,7 @@ def test_config_sample_counts():
 def test_config_validation():
     with pytest.raises(ValueError):
         ScramblerConfig(frame_size=0)
-    with pytest.raises(ValueError, match="^frame_size must be at least 2$"):
+    with pytest.raises(ValueError, match="^frame_size must be a whole number of at least 2, got 1$"):
         ScramblerConfig(frame_size=1)
     with pytest.raises(ValueError):
         ScramblerConfig(segment_ms=-1.0)
@@ -42,7 +42,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_config_refuses_non_finite_values(bad):
-    with pytest.raises(ValueError, match="^segment_ms must be finite and positive$"):
+    with pytest.raises(ValueError, match=f"^segment_ms must be finite and positive, got {bad}$"):
         ScramblerConfig(segment_ms=bad)
     with pytest.raises(ValueError, match="^sample_rate must be a positive whole number, got "):
         ScramblerConfig(sample_rate=bad)
@@ -163,9 +163,9 @@ def test_keyspace_bits_validation():
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), float("-inf")])
 def test_keyspace_bits_refuses_non_finite_values(bad):
-    with pytest.raises(ValueError, match="^minutes and segment_ms must be finite and positive$"):
+    with pytest.raises(ValueError, match=f"^minutes must be finite and positive, got {bad}$"):
         keyspace_bits(bad, 40.0, 8)
-    with pytest.raises(ValueError, match="^minutes and segment_ms must be finite and positive$"):
+    with pytest.raises(ValueError, match=f"^segment_ms must be finite and positive, got {bad}$"):
         keyspace_bits(5.0, bad, 8)
 
 
